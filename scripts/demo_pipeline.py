@@ -4,7 +4,7 @@ Runs entirely on synthetic data: builds a small PE corpus, trains a
 throwaway surrogate classifier over static features, hill-climbs every
 file against it, assembles the winning candidates into a dataset with
 metadata, writes summary analytics, and finishes with a small label-flip
-poisoning grid. Takes a minute or two on one core.
+poisoning grid. Takes about two seconds on one core.
 
     python3 scripts/demo_pipeline.py work/demo --count 24
 """

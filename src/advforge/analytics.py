@@ -11,13 +11,13 @@ closed at 1.0.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
+from .records import write_csv
 from .scoring import score as score_file
 
 
@@ -222,35 +222,19 @@ def size_ratio_stats(rows) -> list:
     return out
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 def write_score_drop_csv(bins: ScoreDropBins, path) -> None:
-    _write_csv(path,
-               ["bin_lo", "bin_hi", "count", "median_drop", "q25", "q75"],
-               [(b["original_score_bin"][0], b["original_score_bin"][1],
-                 b["count"], b["median_drop"], b["q25"], b["q75"])
-                for b in bins.bins])
+    write_csv(path,
+              ["bin_lo", "bin_hi", "count", "median_drop", "q25", "q75"],
+              [(b["original_score_bin"][0], b["original_score_bin"][1],
+                b["count"], b["median_drop"], b["q25"], b["q75"])
+               for b in bins.bins])
 
 
 def write_engine_drop_csv(table: dict, path) -> None:
-    _write_csv(path,
-               ["engine", "pairs", "orig_rate", "adv_rate", "drop"],
-               [(e["engine"], e["pairs"], e["orig_rate"], e["adv_rate"],
-                 e["drop"]) for e in table["per_engine"]])
+    write_csv(path,
+              ["engine", "pairs", "orig_rate", "adv_rate", "drop"],
+              [(e["engine"], e["pairs"], e["orig_rate"], e["adv_rate"],
+                e["drop"]) for e in table["per_engine"]])
 
 
 def write_aggregate_drop_csv(table: dict, path) -> None:
@@ -259,11 +243,11 @@ def write_aggregate_drop_csv(table: dict, path) -> None:
         dist = table[name]
         rows.append((name, dist["count"], dist["median"], dist["q25"],
                      dist["q75"]))
-    _write_csv(path, ["group", "count", "median", "q25", "q75"], rows)
+    write_csv(path, ["group", "count", "median", "q25", "q75"], rows)
 
 
 def write_size_ratio_csv(stats: list, path) -> None:
-    _write_csv(path,
-               ["generator", "count", "mean", "q25", "median", "q75"],
-               [(s["generator"], s["count"], s["mean"], s["q25"], s["median"],
-                 s["q75"]) for s in stats])
+    write_csv(path,
+              ["generator", "count", "mean", "q25", "median", "q75"],
+              [(s["generator"], s["count"], s["mean"], s["q25"], s["median"],
+                s["q75"]) for s in stats])

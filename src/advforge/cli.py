@@ -11,101 +11,88 @@ or usage errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, analytics, gbdt, harness, mutator, pe, poisonlab
 from . import scoring, selector
+from .records import Record, read_jsonl, write_jsonl
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
-class GlobalConfig:
+class ScorerConfig(Record):
+    kind: str | None = None
+    model_path: str | None = None
+    endpoint: str | None = None
+    timeout_ms: int = 10_000
+    threshold: float = scoring.DEFAULT_SCORE_THRESHOLD
+
+
+@dataclass(frozen=True)
+class QuotaConfig(Record):
+    daily_limit: int | None = None
+    state_path: str | None = None
+    service: str | None = None
+    max_report_age: float = scoring.DEFAULT_REPORT_AGE
+    poll_interval: float = 1.0
+
+
+_SECTIONS = {"selection": selector.SelectionConstants,
+             "harness": harness.HarnessConfig, "scorer": ScorerConfig,
+             "quota": QuotaConfig, "gbdt": gbdt.Hyperparams}
+_OPTIONAL_SECTIONS = ("harness", "scorer", "quota")
+
+
+@dataclass(frozen=True)
+class GlobalConfig(Record):
     rng_seed: int = 0
     work_dir: str = "."
     selection: selector.SelectionConstants = field(
         default_factory=selector.SelectionConstants)
     harness: harness.HarnessConfig | None = None
-    scorer: dict | None = None
-    quota: dict | None = None
+    scorer: ScorerConfig | None = None
+    quota: QuotaConfig | None = None
     gbdt: gbdt.Hyperparams = field(default_factory=gbdt.Hyperparams)
+
+    def __post_init__(self) -> None:
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "GlobalConfig":
-        known = {"rng_seed", "work_dir", "selection", "harness", "scorer",
-                 "quota", "gbdt"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict = {}
+        kwargs = dict(obj)
+        for name, section in _SECTIONS.items():
+            if name not in obj or (obj[name] is None
+                                   and name in _OPTIONAL_SECTIONS):
+                continue
+            try:
+                kwargs[name] = section.from_dict(obj[name])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
         try:
             if "rng_seed" in obj:
                 kwargs["rng_seed"] = int(obj["rng_seed"])
-                if kwargs["rng_seed"] < 0:
-                    raise ConfigError("rng_seed must be non-negative")
             if "work_dir" in obj:
                 kwargs["work_dir"] = str(obj["work_dir"])
-            if "selection" in obj:
-                kwargs["selection"] = _typed_section(
-                    selector.SelectionConstants, obj["selection"], "selection")
-            if "harness" in obj and obj["harness"] is not None:
-                kwargs["harness"] = harness.HarnessConfig.from_dict(
-                    obj["harness"])
-            if "scorer" in obj and obj["scorer"] is not None:
-                kwargs["scorer"] = _checked_keys(
-                    obj["scorer"], "scorer",
-                    {"kind", "model_path", "endpoint", "timeout_ms",
-                     "threshold"})
-            if "quota" in obj and obj["quota"] is not None:
-                kwargs["quota"] = _checked_keys(
-                    obj["quota"], "quota",
-                    {"daily_limit", "state_path", "service",
-                     "max_report_age", "poll_interval"})
-            if "gbdt" in obj:
-                kwargs["gbdt"] = _typed_section(
-                    gbdt.Hyperparams, obj["gbdt"], "gbdt")
+            return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        return cls(**kwargs)
 
-    def to_dict(self) -> dict:
-        out = {"rng_seed": self.rng_seed, "work_dir": self.work_dir,
-               "selection": dataclasses.asdict(self.selection),
-               "gbdt": dataclasses.asdict(self.gbdt)}
-        if self.harness is not None:
-            out["harness"] = dataclasses.asdict(self.harness)
-        if self.scorer is not None:
-            out["scorer"] = dict(self.scorer)
-        if self.quota is not None:
-            out["quota"] = dict(self.quota)
-        return out
-
-
-def _typed_section(klass, obj: dict, name: str):
-    fields = {f.name for f in dataclasses.fields(klass)}
-    unknown = set(obj) - fields
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    return klass(**obj)
-
-
-def _checked_keys(obj: dict, name: str, allowed: set) -> dict:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    return dict(obj)
 
 
 def load_config(path: str | None) -> GlobalConfig:
@@ -127,24 +114,20 @@ def load_config(path: str | None) -> GlobalConfig:
 
 def build_scorer(config: GlobalConfig) -> scoring.ScorerHandle:
     section = config.scorer
-    if not section:
+    if section is None:
         raise ConfigError("this subcommand needs a scorer config section")
-    kind = section.get("kind")
-    threshold = section.get("threshold", scoring.DEFAULT_SCORE_THRESHOLD)
-    if kind == "local":
-        path = section.get("model_path")
-        if not path:
+    if section.kind == "local":
+        if not section.model_path:
             raise ConfigError("local scorer needs model_path")
-        model = gbdt.TrainedModel.load(path)
-        return scoring.ScorerHandle.local(model, threshold=threshold)
-    if kind == "http":
-        endpoint = section.get("endpoint")
-        if not endpoint:
+        model = gbdt.TrainedModel.load(section.model_path)
+        return scoring.ScorerHandle.local(model, threshold=section.threshold)
+    if section.kind == "http":
+        if not section.endpoint:
             raise ConfigError("http scorer needs endpoint")
         return scoring.ScorerHandle.http(
-            endpoint, timeout_ms=section.get("timeout_ms", 10_000),
-            threshold=threshold)
-    raise ConfigError(f"unknown scorer kind: {kind!r}")
+            section.endpoint, timeout_ms=section.timeout_ms,
+            threshold=section.threshold)
+    raise ConfigError(f"unknown scorer kind: {section.kind!r}")
 
 
 def write_run_manifest(out_dir, command: str, argv, config: GlobalConfig,
@@ -176,16 +159,6 @@ def _digest_path(path) -> str:
     return ""
 
 
-def _read_jsonl(path) -> list:
-    rows = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
-
-
 def _input_files(dir_path) -> list:
     root = Path(dir_path)
     if not root.is_dir():
@@ -212,16 +185,15 @@ def cmd_validate(args, config: GlobalConfig) -> int:
                      "file_size": report.file_size,
                      "is_valid_pe": report.is_valid_pe,
                      "reasons": list(report.reasons)})
-    text = "\n".join(json.dumps(r) for r in rows)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "reports.jsonl").write_text(text + "\n" if text else "")
+        write_jsonl(out / "reports.jsonl", rows)
         write_run_manifest(out, "validate", sys.argv[1:], config,
                            {"input_dir": str(args.input_dir),
                             "input_digest": _digest_path(args.input_dir)})
     else:
-        print(text)
+        print("\n".join(json.dumps(r) for r in rows))
     return 1 if failures else 0
 
 
@@ -259,8 +231,7 @@ def cmd_mutate(args, config: GlobalConfig) -> int:
                      "steps_used": result.steps_used,
                      "final_score": result.score_trace[-1][1],
                      "plan": result.plan.to_dict()})
-    (out / "campaigns.jsonl").write_text(
-        "\n".join(json.dumps(r) for r in rows) + "\n")
+    write_jsonl(out / "campaigns.jsonl", rows)
     write_run_manifest(out, "mutate", sys.argv[1:], config,
                        {"input_dir": str(args.input_dir),
                         "input_digest": _digest_path(args.input_dir),
@@ -330,25 +301,24 @@ def _load_service(spec: str) -> scoring.VerdictService:
 
 def cmd_verdicts(args, config: GlobalConfig) -> int:
     section = config.quota
-    if not section:
+    if section is None:
         raise ConfigError("verdicts needs a quota config section")
-    spec = args.service or section.get("service")
+    spec = args.service or section.service
     if not spec:
         raise ConfigError("verdicts needs a service (flag or quota.service)")
-    if "state_path" not in section or "daily_limit" not in section:
+    if section.state_path is None or section.daily_limit is None:
         raise ConfigError("quota config needs state_path and daily_limit")
     service = _load_service(spec)
-    state_path = section["state_path"]
+    state_path = section.state_path
     if Path(state_path).exists():
         state = scoring.QuotaState.load(state_path)
     else:
-        state = scoring.QuotaState.new(int(section["daily_limit"]))
+        state = scoring.QuotaState.new(int(section.daily_limit))
         state.save(state_path)
     vconfig = scoring.VerdictConfig(
         service=service, state_path=state_path,
-        max_report_age=section.get("max_report_age",
-                                   scoring.DEFAULT_REPORT_AGE),
-        poll_interval=section.get("poll_interval", 1.0))
+        max_report_age=section.max_report_age,
+        poll_interval=section.poll_interval)
     files = _input_files(args.input_dir)
     state = scoring.verdicts_submit_poll(state, files, vconfig)
     print(json.dumps({"used_today": state.used_today,
@@ -359,10 +329,10 @@ def cmd_verdicts(args, config: GlobalConfig) -> int:
 
 def cmd_select(args, config: GlobalConfig) -> int:
     try:
-        sources = [selector.SourceSample(**row)
-                   for row in _read_jsonl(args.sources)]
+        sources = [selector.SourceSample.from_dict(row)
+                   for row in read_jsonl(args.sources)]
         candidates = [selector.CandidateRecord.from_dict(row)
-                      for row in _read_jsonl(args.candidates)]
+                      for row in read_jsonl(args.candidates)]
         summary = selector.assemble_dataset(sources, candidates, args.out,
                                             constants=config.selection)
     except (TypeError, ValueError, json.JSONDecodeError) as exc:
@@ -375,7 +345,7 @@ def cmd_select(args, config: GlobalConfig) -> int:
 
 
 def cmd_stats(args, config: GlobalConfig) -> int:
-    pairs = _read_jsonl(args.pairs)
+    pairs = read_jsonl(args.pairs)
     if not pairs:
         raise ConfigError(f"no rows in {args.pairs}")
     out = Path(args.out)

@@ -11,13 +11,13 @@ Layout (block slices exported below):
 from __future__ import annotations
 
 import hashlib
-import json
 import pathlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import pe
+from .records import write_jsonl
 
 FEATURE_DIM = 552
 
@@ -69,8 +69,7 @@ def _byte_entropy_histogram(arr: np.ndarray) -> np.ndarray:
             (rows + offsets).ravel(), minlength=16 * n
         ).reshape(n, 16)
         p = counts / width
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(p > 0, np.log2(p, where=p > 0), 0.0)
+        logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
         entropy = -(p * logs).sum(axis=1) * 2.0
         bins = np.minimum((entropy * 2).astype(np.int64), 15)
         np.add.at(hist, bins, counts)
@@ -198,22 +197,6 @@ def read_matrix(path) -> np.ndarray:
     return out.copy()
 
 
-def write_manifest(path, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def read_manifest(path) -> list[dict]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
-
-
 def batch_extract(
     src_dir, matrix_path, manifest_path, parallelism: int = 1
 ) -> tuple[int, int]:
@@ -256,5 +239,5 @@ def batch_extract(
 
     matrix = np.vstack(rows) if rows else np.zeros((0, FEATURE_DIM))
     write_matrix(matrix_path, matrix)
-    write_manifest(manifest_path, records)
+    write_jsonl(manifest_path, records)
     return len(rows), skipped

@@ -15,17 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tuned grid used by the experiment scripts (see grid_search).
-TABLE3_FINAL_GRID = {
-    "learning_rate": [0.02, 0.05],
-    "num_leaves": [31, 63, 127],
-    "max_depth": [-1, 8],
-    "min_data_in_leaf": [50, 100, 200],
-    "feature_fraction": [0.6, 0.8],
-    "bagging_fraction": [0.7, 0.9],
-    "bagging_freq": [5],
-    "l2_lambda": [0.0, 1.0],
-}
+from .records import Record
 
 _BASE_SCORE_CLAMP = 10.0
 
@@ -43,7 +33,7 @@ class DimensionMismatch(GbdtError):
 
 
 @dataclass(frozen=True)
-class Hyperparams:
+class Hyperparams(Record):
     learning_rate: float = 0.05
     num_leaves: int = 31
     max_depth: int = -1
@@ -68,24 +58,6 @@ class Hyperparams:
             raise ValueError("min_data_in_leaf must be >= 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "num_leaves": self.num_leaves,
-            "max_depth": self.max_depth,
-            "min_data_in_leaf": self.min_data_in_leaf,
-            "feature_fraction": self.feature_fraction,
-            "bagging_fraction": self.bagging_fraction,
-            "bagging_freq": self.bagging_freq,
-            "l2_lambda": self.l2_lambda,
-            "max_rounds": self.max_rounds,
-            "early_stop_rounds": self.early_stop_rounds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Hyperparams":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -540,7 +512,7 @@ def stratified_kfold(
 def grid_search(
     features: np.ndarray,
     labels: np.ndarray,
-    grid: dict | None = None,
+    grid: dict,
     k: int = 5,
     rng_seed: int = 0,
 ) -> tuple[Hyperparams, list[dict]]:
@@ -550,9 +522,6 @@ def grid_search(
     Returns (best hyperparams, CV table sorted in evaluation order).
     """
     import itertools
-
-    if grid is None:
-        grid = TABLE3_FINAL_GRID
     y = np.asarray(labels).ravel()
     counts = [int((y == c).sum()) for c in (0, 1)]
     if min(counts) < k:

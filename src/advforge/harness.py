@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import pe
+from .records import Record
 
 TERMINAL_STATES = ("done", "discarded")
 STATES = ("pending", "running", "stale", "restarting") + TERMINAL_STATES
@@ -47,7 +48,7 @@ class CollisionError(HarnessError):
 
 
 @dataclass(frozen=True)
-class HarnessConfig:
+class HarnessConfig(Record):
     worker_command: str
     chunk_count: int = 2000
     stale_window: float = 600.0
@@ -69,15 +70,6 @@ class HarnessConfig:
                 raise ValueError(f"worker_command lacks {placeholder}")
         if self.load_gate is not None and "target_load" not in self.load_gate:
             raise ValueError("load_gate requires target_load")
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "HarnessConfig":
-        known = {"worker_command", "chunk_count", "stale_window",
-                 "max_restarts", "max_parallel", "load_gate"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown harness config keys: {sorted(unknown)}")
-        return cls(**obj)
 
 
 @dataclass

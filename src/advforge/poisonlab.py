@@ -10,8 +10,6 @@ and emits evasion/F1 heatmaps with below-baseline cells flagged.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +24,7 @@ from .gbdt import (
     f1_score,
     train,
 )
+from .records import Record, write_csv, write_jsonl
 
 TAU_GRID = tuple(i / 10 for i in range(11))
 FRACTION_GRID = (0.001, 0.0025, 0.005, 0.01, 0.02, 0.03, 0.05, 0.1, 0.2)
@@ -44,7 +43,7 @@ class InsufficientRemovableRows(PoisonLabError):
 
 
 @dataclass(frozen=True)
-class PoisonConfig:
+class PoisonConfig(Record):
     tau: float
     poisoned_fraction: float
     rng_seed: int
@@ -57,13 +56,9 @@ class PoisonConfig:
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {"tau": self.tau, "poisoned_fraction": self.poisoned_fraction,
-                "rng_seed": self.rng_seed}
-
 
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(Record):
     f1: float
     precision: float
     recall: float
@@ -81,15 +76,6 @@ class MetricsReport:
         expected = f1_score(self.precision, self.recall)
         if abs(self.f1 - expected) > 1e-9:
             raise ValueError("f1 inconsistent with precision/recall")
-
-    def to_dict(self) -> dict:
-        if isinstance(self.config, PoisonConfig):
-            config = self.config.to_dict()
-        else:
-            config = self.config
-        return {"f1": self.f1, "precision": self.precision,
-                "recall": self.recall, "accuracy": self.accuracy,
-                "evasion_rate": self.evasion_rate, "config": config}
 
 
 def inject_poison(train_x: np.ndarray, train_y: np.ndarray,
@@ -183,7 +169,7 @@ def cross_evaluate(model: TrainedModel, test_x: np.ndarray,
 
 
 def _heatmap_rows(tau_list, fraction_list, lookup, baseline_value):
-    rows = [["tau"] + [str(f) for f in fraction_list]]
+    rows = []
     for tau in tau_list:
         row = [str(tau)]
         for fraction in fraction_list:
@@ -197,11 +183,6 @@ def _heatmap_rows(tau_list, fraction_list, lookup, baseline_value):
                 row.append(cell)
         rows.append(row)
     return rows
-
-
-def _write_rows(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
 
 
 def run_grid(train_x, train_y, test_x, test_y, adv_pool, adv_test,
@@ -250,17 +231,13 @@ def run_grid(train_x, train_y, test_x, test_y, adv_pool, adv_test,
                        r.evasion_rate for r in cells}
         f1_map = {(r.config.tau, r.config.poisoned_fraction): r.f1
                   for r in cells}
-        _write_rows(out / "evasion_heatmap.csv",
-                    _heatmap_rows(tau_list, fraction_list, evasion_map,
-                                  baseline.evasion_rate))
-        _write_rows(out / "f1_heatmap.csv",
-                    _heatmap_rows(tau_list, fraction_list, f1_map,
-                                  baseline.f1))
-        with open(out / "reports.jsonl", "w") as fh:
-            fh.write(json.dumps(baseline.to_dict()) + "\n")
-            for report in cells:
-                fh.write(json.dumps(report.to_dict()) + "\n")
-        with open(out / "failures.jsonl", "w") as fh:
-            for failure in failures:
-                fh.write(json.dumps(failure) + "\n")
+        header = ["tau"] + [str(f) for f in fraction_list]
+        write_csv(out / "evasion_heatmap.csv", header,
+                  _heatmap_rows(tau_list, fraction_list, evasion_map,
+                                baseline.evasion_rate))
+        write_csv(out / "f1_heatmap.csv", header,
+                  _heatmap_rows(tau_list, fraction_list, f1_map, baseline.f1))
+        write_jsonl(out / "reports.jsonl",
+                    [r.to_dict() for r in [baseline] + cells])
+        write_jsonl(out / "failures.jsonl", failures)
     return result

@@ -1,0 +1,65 @@
+"""Record serialization and the package's line-oriented file formats.
+
+``Record`` gives flat dataclasses one shared ``to_dict``/``from_dict``
+pair.  ``read_jsonl``/``write_jsonl`` are the package's only JSONL reader
+and writer, and ``write_csv`` its only CSV writer.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+from dataclasses import fields
+
+
+class Record:
+    """Mixin for dataclasses that serialize field by field.
+
+    ``to_dict`` is shallow: a field holding another Record becomes that
+    record's dict, and every other value, dicts and lists included, passes
+    through untouched.  ``from_dict`` rejects unknown keys and leaves every
+    other check to the constructor, so ``__post_init__`` stays the only
+    validator.
+    """
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.to_dict() if isinstance(value, Record) else value
+        return out
+
+    @classmethod
+    def from_dict(cls, obj: dict):
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        return cls(**obj)
+
+
+def read_jsonl(path) -> list:
+    """One JSON value per line; blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def write_jsonl(path, rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Header plus rows; None is written empty, floats to six decimals."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)

@@ -27,8 +27,9 @@ import numpy as np
 
 from . import features
 from .gbdt import TrainedModel
+from .mutator import DEFAULT_THRESHOLD as DEFAULT_SCORE_THRESHOLD
+from .records import Record
 
-DEFAULT_SCORE_THRESHOLD = 0.871
 DEFAULT_REPORT_AGE = 30 * 86400.0
 
 
@@ -166,7 +167,7 @@ def classify_dir(handle: ScorerHandle, dir_path, parallelism: int = 1):
 
 
 @dataclass(frozen=True)
-class MultiEngineReport:
+class MultiEngineReport(Record):
     """Aggregated detection verdicts from a multi-engine analysis."""
 
     sha256: str
@@ -198,42 +199,13 @@ class MultiEngineReport:
                    total_engines=len(engines), detections=detections,
                    top_group_detections=top_hits)
 
-    def to_dict(self) -> dict:
-        return {
-            "sha256": self.sha256,
-            "fetched_at": self.fetched_at,
-            "engines": self.engines,
-            "total_engines": self.total_engines,
-            "detections": self.detections,
-            "top_group_detections": self.top_group_detections,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "MultiEngineReport":
-        return cls(
-            sha256=obj["sha256"],
-            fetched_at=float(obj["fetched_at"]),
-            engines=dict(obj["engines"]),
-            total_engines=int(obj["total_engines"]),
-            detections=int(obj["detections"]),
-            top_group_detections=int(obj["top_group_detections"]),
-        )
 
 
 @dataclass(frozen=True)
-class PendingSubmission:
+class PendingSubmission(Record):
     sha256: str
     analysis_id: str
     submitted_at: float
-
-    def to_dict(self) -> dict:
-        return {"sha256": self.sha256, "analysis_id": self.analysis_id,
-                "submitted_at": self.submitted_at}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PendingSubmission":
-        return cls(sha256=obj["sha256"], analysis_id=obj["analysis_id"],
-                   submitted_at=float(obj["submitted_at"]))
 
 
 def _utc_day(ts: float) -> str:

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import pe
+from .records import Record, write_jsonl
+from .scoring import DEFAULT_SCORE_THRESHOLD
 
-EMBER_THRESHOLD = 0.871
 SIZE_RATIO_THRESHOLD = 1.5
 MAXIMUM_SIZE = 25_000_000
 
@@ -29,8 +30,8 @@ LABEL_SCHEMES = ("family", "type")
 
 
 @dataclass(frozen=True)
-class SelectionConstants:
-    ember_threshold: float = EMBER_THRESHOLD
+class SelectionConstants(Record):
+    ember_threshold: float = DEFAULT_SCORE_THRESHOLD
     size_ratio_threshold: float = SIZE_RATIO_THRESHOLD
     maximum_size: int = MAXIMUM_SIZE
 
@@ -39,7 +40,7 @@ DEFAULT_CONSTANTS = SelectionConstants()
 
 
 @dataclass(frozen=True)
-class CandidateRecord:
+class CandidateRecord(Record):
     """One generator output for one source sample."""
 
     generator: str
@@ -58,32 +59,9 @@ class CandidateRecord:
         if self.orig_size < 1 or self.modified_size < 1:
             raise ValueError("sizes must be at least 1 byte")
 
-    def to_dict(self) -> dict:
-        return {
-            "generator": self.generator,
-            "ember_score": self.ember_score,
-            "orig_size": self.orig_size,
-            "modified_size": self.modified_size,
-            "path": self.path,
-            "sha256_adv": self.sha256_adv,
-            "sha256_orig": self.sha256_orig,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CandidateRecord":
-        return cls(
-            generator=obj["generator"],
-            ember_score=float(obj["ember_score"]),
-            orig_size=int(obj["orig_size"]),
-            modified_size=int(obj["modified_size"]),
-            path=obj.get("path", ""),
-            sha256_adv=obj.get("sha256_adv", ""),
-            sha256_orig=obj.get("sha256_orig", ""),
-        )
-
 
 @dataclass(frozen=True)
-class SourceSample:
+class SourceSample(Record):
     """Input-side metadata for one source binary."""
 
     sha256: str
@@ -101,7 +79,7 @@ class SourceSample:
 
 
 @dataclass(frozen=True)
-class FinalRecord:
+class FinalRecord(Record):
     """Metadata emitted for each sample copied into the final dataset."""
 
     sha256_orig: str
@@ -116,22 +94,6 @@ class FinalRecord:
     ember2024_score_adv: float | None = None
     engine_detections_orig: dict | None = None
     engine_detections_adv: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "sha256_orig": self.sha256_orig,
-            "sha256_adv": self.sha256_adv,
-            "label": self.label,
-            "generator": self.generator,
-            "ember_score_orig": self.ember_score_orig,
-            "ember_score_adv": self.ember_score_adv,
-            "ember2024_score_orig": self.ember2024_score_orig,
-            "ember2024_score_adv": self.ember2024_score_adv,
-            "engine_detections_orig": self.engine_detections_orig,
-            "engine_detections_adv": self.engine_detections_adv,
-            "orig_size": self.orig_size,
-            "adv_size": self.adv_size,
-        }
 
 
 def _check_single_source(candidates) -> None:
@@ -307,12 +269,8 @@ def assemble_dataset(sources, candidates, out_dir,
             engine_detections_adv=extra.get("engine_detections"),
         ))
 
-    with open(out / "metadata.jsonl", "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_dict()) + "\n")
-    with open(out / "rejections.jsonl", "w") as fh:
-        for entry in screen_log + degenerate_log:
-            fh.write(json.dumps(entry) + "\n")
+    write_jsonl(out / "metadata.jsonl", [r.to_dict() for r in records])
+    write_jsonl(out / "rejections.jsonl", screen_log + degenerate_log)
 
     counts = defaultdict(int)
     for record in records:

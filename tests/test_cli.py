@@ -326,6 +326,19 @@ class TestSelectCommand:
                          "--out", str(tmp_path / "out")]) == 2
 
 
+    def test_unknown_candidate_column_exit_2(self, tmp_path, capsys):
+        sources, candidates = self.fixture_rows(tmp_path)
+        candidates[0]["ember_score_v2"] = 0.5
+        src_file = tmp_path / "sources.jsonl"
+        cand_file = tmp_path / "cands.jsonl"
+        src_file.write_text("\n".join(json.dumps(r) for r in sources))
+        cand_file.write_text("\n".join(json.dumps(r) for r in candidates))
+        assert dispatch(["select", "--sources", str(src_file),
+                         "--candidates", str(cand_file),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "ember_score_v2" in capsys.readouterr().err
+
+
 class TestStatsCommand:
     def test_writes_summary_and_csvs(self, tmp_path, capsys):
         rows = []

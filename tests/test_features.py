@@ -19,10 +19,10 @@ from advforge.features import (
     STRING_BLOCK,
     batch_extract,
     extract,
-    read_manifest,
     read_matrix,
     write_matrix,
 )
+from advforge.records import read_jsonl as read_manifest
 
 
 def naive_byte_entropy(data: bytes) -> np.ndarray:

@@ -77,6 +77,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 class TestScore:
@@ -242,10 +243,6 @@ class TestMultiEngineReport:
                               engines={"a": {"detected": True}},
                               total_engines=1, detections=1,
                               top_group_detections=2)
-
-    def test_dict_round_trip(self):
-        rep = make_report("cd" * 32, 123.5)
-        assert MultiEngineReport.from_dict(rep.to_dict()) == rep
 
 
 class SimulatedCrash(Exception):
