@@ -58,7 +58,6 @@ _OPTIONAL_SECTIONS = ("harness", "scorer", "quota")
 @dataclass(frozen=True)
 class GlobalConfig(Record):
     rng_seed: int = 0
-    work_dir: str = "."
     selection: selector.SelectionConstants = field(
         default_factory=selector.SelectionConstants)
     harness: harness.HarnessConfig | None = None
@@ -87,8 +86,6 @@ class GlobalConfig(Record):
         try:
             if "rng_seed" in obj:
                 kwargs["rng_seed"] = int(obj["rng_seed"])
-            if "work_dir" in obj:
-                kwargs["work_dir"] = str(obj["work_dir"])
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -132,7 +129,7 @@ def build_scorer(config: GlobalConfig) -> scoring.ScorerHandle:
 
 def write_run_manifest(out_dir, command: str, argv, config: GlobalConfig,
                        inputs: dict) -> None:
-    """Record what ran: inputs, seeds, and versions, for reproducibility."""
+    """Record what ran: argv, inputs, seeds, and versions."""
     manifest = {
         "command": command,
         "argv": list(argv),
@@ -144,19 +141,21 @@ def write_run_manifest(out_dir, command: str, argv, config: GlobalConfig,
                      "numpy": np.__version__},
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "run_manifest.json").write_text(json.dumps(manifest, indent=1))
+    (Path(out_dir) / "run_manifest.json").write_text(
+        json.dumps(manifest, indent=1))
 
 
-def _digest_path(path) -> str:
+def _describe_input(path) -> dict | None:
+    """``{"path", "sha256"}`` of an input: the digest of a file's contents,
+    or of a directory's sorted entry names."""
+    if path is None:
+        return None
     p = Path(path)
-    if p.is_file():
-        return hashlib.sha256(p.read_bytes()).hexdigest()
     if p.is_dir():
-        names = sorted(x.name for x in p.iterdir())
-        return hashlib.sha256("\n".join(names).encode()).hexdigest()
-    return ""
+        blob = "\n".join(sorted(x.name for x in p.iterdir())).encode()
+    else:
+        blob = p.read_bytes()
+    return {"path": str(path), "sha256": hashlib.sha256(blob).hexdigest()}
 
 
 def _input_files(dir_path) -> list:
@@ -186,12 +185,7 @@ def cmd_validate(args, config: GlobalConfig) -> int:
                      "is_valid_pe": report.is_valid_pe,
                      "reasons": list(report.reasons)})
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_jsonl(out / "reports.jsonl", rows)
-        write_run_manifest(out, "validate", sys.argv[1:], config,
-                           {"input_dir": str(args.input_dir),
-                            "input_digest": _digest_path(args.input_dir)})
+        write_jsonl(Path(args.out) / "reports.jsonl", rows)
     else:
         print("\n".join(json.dumps(r) for r in rows))
     return 1 if failures else 0
@@ -202,7 +196,7 @@ def cmd_mutate(args, config: GlobalConfig) -> int:
     files = _input_files(args.input_dir)
     out = Path(args.out)
     files_dir = out / "files"
-    files_dir.mkdir(parents=True, exist_ok=True)
+    files_dir.mkdir(exist_ok=True)
     pool = (mutator.ContentPool.from_dir(args.pool) if args.pool
             else mutator.ContentPool.fallback())
 
@@ -215,7 +209,7 @@ def cmd_mutate(args, config: GlobalConfig) -> int:
         seed = (config.rng_seed ^ int(sha[:16], 16)) & ((1 << 64) - 1)
         campaign = mutator.CampaignConfig(
             max_steps=args.max_steps,
-            score_threshold=args.threshold,
+            score_threshold=handle.threshold,
             rng_seed=seed)
         try:
             result = mutator.run_campaign(
@@ -232,10 +226,6 @@ def cmd_mutate(args, config: GlobalConfig) -> int:
                      "final_score": result.score_trace[-1][1],
                      "plan": result.plan.to_dict()})
     write_jsonl(out / "campaigns.jsonl", rows)
-    write_run_manifest(out, "mutate", sys.argv[1:], config,
-                       {"input_dir": str(args.input_dir),
-                        "input_digest": _digest_path(args.input_dir),
-                        "pool": str(args.pool) if args.pool else None})
     return 1 if failures else 0
 
 
@@ -243,19 +233,13 @@ def cmd_harness_run(args, config: GlobalConfig) -> int:
     if config.harness is None:
         raise ConfigError("harness run needs a harness config section")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = harness.split_dataset(args.input_dir,
                                      config.harness.chunk_count)
     manifest.save(out / "chunks.json")
     summary = harness.run(config.harness, manifest, out / "work",
                           status_stream=sys.stdout)
-    index = harness.merge_outputs(manifest, summary, out / "work",
-                                  out / "merged")
+    harness.merge_outputs(manifest, summary, out / "work", out / "merged")
     (out / "summary.json").write_text(json.dumps(summary.to_dict(), indent=1))
-    write_run_manifest(out, "harness run", sys.argv[1:], config,
-                       {"input_dir": str(args.input_dir),
-                        "input_digest": _digest_path(args.input_dir),
-                        "merged_files": len(index)})
     discarded = [c for c, s in summary.chunk_states.items()
                  if s == "discarded"]
     if discarded:
@@ -270,12 +254,7 @@ def cmd_score(args, config: GlobalConfig) -> int:
                                           parallelism=args.parallelism)
     payload = json.dumps(report, indent=1, sort_keys=True)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "scores.json").write_text(payload)
-        write_run_manifest(out, "score", sys.argv[1:], config,
-                           {"input_dir": str(args.input_dir),
-                            "input_digest": _digest_path(args.input_dir)})
+        (Path(args.out) / "scores.json").write_text(payload)
     else:
         print(payload)
     for problem in errors:
@@ -337,9 +316,6 @@ def cmd_select(args, config: GlobalConfig) -> int:
                                             constants=config.selection)
     except (TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad selection input: {exc}") from exc
-    write_run_manifest(args.out, "select", sys.argv[1:], config,
-                       {"sources": _digest_path(args.sources),
-                        "candidates": _digest_path(args.candidates)})
     print(json.dumps(summary))
     return 1 if summary["failed_count"] else 0
 
@@ -349,7 +325,6 @@ def cmd_stats(args, config: GlobalConfig) -> int:
     if not pairs:
         raise ConfigError(f"no rows in {args.pairs}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary: dict = {"pairs": len(pairs)}
 
     verdict_rows = [p for p in pairs if "orig_verdict_malicious" in p
@@ -372,8 +347,6 @@ def cmd_stats(args, config: GlobalConfig) -> int:
         summary["generators"] = len(stats)
 
     (out / "stats.json").write_text(json.dumps(summary, indent=1))
-    write_run_manifest(out, "stats", sys.argv[1:], config,
-                       {"pairs": _digest_path(args.pairs)})
     print(json.dumps(summary))
     return 0
 
@@ -400,9 +373,6 @@ def cmd_poison_run(args, config: GlobalConfig) -> int:
         data["train_x"], data["train_y"], data["test_x"], data["test_y"],
         data["adv_pool"], data["adv_test"], config.gbdt,
         rng_seed=config.rng_seed, out_dir=args.out, **grids)
-    write_run_manifest(args.out, "poison run", sys.argv[1:], config,
-                       {"data": _digest_path(args.data),
-                        "grid": args.grid})
     print(json.dumps({"cells": len(result["cells"]),
                       "failures": len(result["failures"])}))
     return 1 if result["failures"] else 0
@@ -433,29 +403,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="structural PE validation reports")
     p.add_argument("input_dir")
     p.add_argument("--out", help="write reports.jsonl here instead of stdout")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, inputs=("input_dir",))
 
     p = sub.add_parser("mutate", help="hill-climbing evasion campaigns")
     p.add_argument("--in", dest="input_dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-steps", type=int, default=200)
-    p.add_argument("--threshold", type=float,
-                   default=mutator.DEFAULT_THRESHOLD)
     p.add_argument("--pool", help="directory of benign content donors")
-    p.set_defaults(func=cmd_mutate)
+    p.set_defaults(func=cmd_mutate, inputs=("input_dir", "pool"))
 
     p = sub.add_parser("harness", help="generator worker orchestration")
-    hsub = p.add_subparsers(dest="harness_command", required=True)
+    hsub = p.add_subparsers(dest="action", required=True)
     hr = hsub.add_parser("run", help="split, supervise, and merge")
     hr.add_argument("--input", dest="input_dir", required=True)
     hr.add_argument("--out", required=True)
-    hr.set_defaults(func=cmd_harness_run)
+    hr.set_defaults(func=cmd_harness_run, inputs=("input_dir",))
 
     p = sub.add_parser("score", help="classify a directory of binaries")
     p.add_argument("--in", dest="input_dir", required=True)
     p.add_argument("--out")
     p.add_argument("--parallelism", type=int, default=1)
-    p.set_defaults(func=cmd_score)
+    p.set_defaults(func=cmd_score, inputs=("input_dir",))
 
     p = sub.add_parser("verdicts", help="quota-limited verdict submission")
     p.add_argument("--in", dest="input_dir", required=True)
@@ -466,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sources", required=True)
     p.add_argument("--candidates", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_select)
+    p.set_defaults(func=cmd_select, inputs=("sources", "candidates"))
 
     p = sub.add_parser("stats", help="evasion, score drop, and size stats")
     p.add_argument("--pairs", required=True)
@@ -474,17 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float,
                    default=scoring.DEFAULT_SCORE_THRESHOLD)
     p.add_argument("--bins", type=int, default=20)
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_stats, inputs=("pairs",))
 
     p = sub.add_parser("poison", help="poisoning experiments")
-    psub = p.add_subparsers(dest="poison_command", required=True)
+    psub = p.add_subparsers(dest="action", required=True)
     pr = psub.add_parser("run", help="tau x fraction grid")
     pr.add_argument("--data", required=True,
                     help="npz bundle: train_x/train_y/test_x/test_y/"
                          "adv_pool/adv_test")
     pr.add_argument("--out", required=True)
     pr.add_argument("--grid", choices=["table4", "small"], default="table4")
-    pr.set_defaults(func=cmd_poison_run)
+    pr.set_defaults(func=cmd_poison_run, inputs=("data",))
     pc = psub.add_parser("cross-eval", help="evaluate a saved model")
     pc.add_argument("--model", required=True)
     pc.add_argument("--data", required=True)
@@ -494,14 +462,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv=None) -> int:
+    """Parse argv, run the subcommand, and, for one run with ``--out``,
+    write its ``run_manifest.json`` there once the command returns."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    out = getattr(args, "out", None)
     try:
         config = load_config(args.config)
-        return args.func(args, config)
+        if out:
+            Path(out).mkdir(parents=True, exist_ok=True)
+        code = args.func(args, config)
+        if out:
+            command = " ".join(filter(None, (args.command,
+                                             getattr(args, "action", None))))
+            inputs = {name: _describe_input(getattr(args, name))
+                      for name in args.inputs}
+            write_run_manifest(out, command, argv, config, inputs)
+        return code
     except ConfigError as exc:
         print(f"forge: {exc}", file=sys.stderr)
         return 2

@@ -15,10 +15,12 @@ lines to its log file.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -28,7 +30,6 @@ from . import pe
 from .records import Record
 
 TERMINAL_STATES = ("done", "discarded")
-STATES = ("pending", "running", "stale", "restarting") + TERMINAL_STATES
 
 
 class HarnessError(Exception):
@@ -186,12 +187,17 @@ def _log_signature(path: Path) -> tuple:
 
 
 def _kill(proc) -> None:
-    proc.terminate()
+    """Stop a worker's whole process group: a compound worker command's
+    processes would outlive a signal to its shell alone."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGTERM)
     try:
         proc.wait(timeout=2.0)
     except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait()
+        pass
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
 
 
 def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
@@ -246,7 +252,8 @@ def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
         log_handle = open(slot.log_path, "ab")
         try:
             slot.proc = subprocess.Popen(
-                command, shell=True, stdout=log_handle, stderr=log_handle)
+                command, shell=True, stdout=log_handle, stderr=log_handle,
+                start_new_session=True)
         except OSError as exc:
             note(slot.chunk_id, f"spawn-failure:{exc}")
             slot.proc = None
@@ -298,28 +305,36 @@ def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
             slot.proc = None
             _fail_attempt(slot)
 
-    while True:
-        running = [s for s in slots if s.status.state == "running"]
-        for slot in running:
-            poll(slot)
-        pending = [s for s in slots if s.status.state == "pending"]
-        active = sum(1 for s in slots if s.status.state == "running")
-        for slot in pending:
-            if active >= config.max_parallel:
+    try:
+        while True:
+            running = [s for s in slots if s.status.state == "running"]
+            for slot in running:
+                poll(slot)
+            pending = [s for s in slots if s.status.state == "pending"]
+            active = sum(1 for s in slots if s.status.state == "running")
+            for slot in pending:
+                if active >= config.max_parallel:
+                    break
+                if not gate_open():
+                    note(slot.chunk_id, "defer-load")
+                    break
+                launch(slot)
+                if slot.status.state == "running":
+                    active += 1
+            if (status_stream is not None
+                    and clock() - last_render >= status_interval):
+                status_stream.write(render_status(
+                    {s.chunk_id: s.status for s in slots}, now=clock()) + "\n")
+                last_render = clock()
+            if all(s.status.state in TERMINAL_STATES for s in slots):
                 break
-            if not gate_open():
-                note(slot.chunk_id, "defer-load")
-                break
-            launch(slot)
-            if slot.status.state == "running":
-                active += 1
-        if status_stream is not None and clock() - last_render >= status_interval:
-            status_stream.write(render_status(
-                {s.chunk_id: s.status for s in slots}, now=clock()) + "\n")
-            last_render = clock()
-        if all(s.status.state in TERMINAL_STATES for s in slots):
-            break
-        sleep(poll_interval)
+            sleep(poll_interval)
+    finally:
+        # workers run in their own sessions, so a Ctrl-C or an error here
+        # does not reach them: stop whatever is still running
+        for slot in slots:
+            if slot.proc is not None:
+                _kill(slot.proc)
 
     return HarnessSummary(
         chunk_states={s.chunk_id: s.status.state for s in slots},

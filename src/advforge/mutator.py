@@ -377,8 +377,8 @@ def run_campaign(
     config: CampaignConfig,
     pool: ContentPool | None = None,
 ) -> CampaignResult:
-    """Hill-climb ``data`` against ``scorer`` until it scores below the
-    threshold or the step budget runs out.
+    """Hill-climb ``data`` against ``scorer``, a callable from bytes to
+    score, until it scores below the threshold or the step budget runs out.
 
     Each step samples one action uniformly from the allowed set, applies
     it, and keeps the candidate only on strict score improvement.  Content
@@ -388,12 +388,11 @@ def run_campaign(
     report = pe.validate(data)
     if not report.is_valid_pe:
         raise InvalidInput(f"input is not a valid PE: {','.join(report.reasons)}")
-    score_fn = scorer.score if hasattr(scorer, "score") else scorer
 
     rng = np.random.default_rng(config.rng_seed)
     current_image = pe.parse(data)
     current_bytes = data
-    current_score = float(score_fn(current_bytes))
+    current_score = float(scorer(current_bytes))
     trace: list[tuple[int, float]] = [(0, current_score)]
     accepted: list[MutationAction] = []
     steps_used = 0
@@ -410,7 +409,7 @@ def run_campaign(
                 candidate_bytes = pe.serialize(candidate_image)
             except (InvalidTarget, pe.LayoutOverflow):
                 continue
-            score = float(score_fn(candidate_bytes))
+            score = float(scorer(candidate_bytes))
             if score < current_score:
                 current_image = candidate_image
                 current_bytes = candidate_bytes

@@ -17,8 +17,12 @@ DOS_MAGIC = b"MZ"
 PE_SIGNATURE = b"PE\x00\x00"
 E_LFANEW_OFFSET = 0x3C
 DOS_HEADER_SIZE = 64
-COFF_SIZE = 20
-SECTION_ENTRY_SIZE = 40
+# machine, section count, then the CoffHeader fields from timestamp on
+_COFF = struct.Struct("<HHIIIHH")
+# the SectionEntry fields before raw_data, in order
+_SECTION_ROW = struct.Struct("<8sIIIIIIHHI")
+COFF_SIZE = _COFF.size
+SECTION_ENTRY_SIZE = _SECTION_ROW.size
 
 PE32_MAGIC = 0x10B
 PE32PLUS_MAGIC = 0x20B
@@ -107,19 +111,11 @@ class SectionEntry:
         return self.raw_offset + self.raw_size
 
     def pack_header(self) -> bytes:
-        return struct.pack(
-            "<8sIIIIIIHHI",
-            self.name,
-            self.virtual_size,
-            self.virtual_address,
-            self.raw_size,
-            self.raw_offset,
-            self.reloc_offset,
-            self.linenum_offset,
-            self.reloc_count,
-            self.linenum_count,
-            self.characteristics,
-        )
+        return _SECTION_ROW.pack(
+            self.name, self.virtual_size, self.virtual_address,
+            self.raw_size, self.raw_offset, self.reloc_offset,
+            self.linenum_offset, self.reloc_count, self.linenum_count,
+            self.characteristics)
 
 
 class OptionalHeader:
@@ -324,15 +320,9 @@ def _check_and_parse(data: bytes) -> tuple[PeImage | None, list[str]]:
     coff_off = e_lfanew + 4
     if coff_off + COFF_SIZE > len(data):
         return None, [TRUNCATED]
-    (
-        machine,
-        num_sections,
-        timestamp,
-        sym_off,
-        sym_count,
-        opt_size,
-        characteristics,
-    ) = struct.unpack_from("<HHIIIHH", data, coff_off)
+    machine, num_sections, *coff_rest = _COFF.unpack_from(data, coff_off)
+    coff = CoffHeader(machine, *coff_rest)
+    opt_size = coff.optional_header_size
     opt_off = coff_off + COFF_SIZE
     if opt_off + opt_size > len(data) or opt_size < 2:
         return None, [TRUNCATED]
@@ -354,19 +344,8 @@ def _check_and_parse(data: bytes) -> tuple[PeImage | None, list[str]]:
 
     sections: list[SectionEntry] = []
     for i in range(num_sections):
-        off = table_off + i * SECTION_ENTRY_SIZE
-        (
-            name,
-            vsize,
-            vaddr,
-            rsize,
-            roff,
-            reloc_off,
-            line_off,
-            reloc_n,
-            line_n,
-            chars,
-        ) = struct.unpack_from("<8sIIIIIIHHI", data, off)
+        row = _SECTION_ROW.unpack_from(data, table_off + i * SECTION_ENTRY_SIZE)
+        rsize, roff = row[3], row[4]
         if rsize > 0 and roff > 0:
             if roff + rsize > len(data):
                 return None, [TRUNCATED]
@@ -378,21 +357,7 @@ def _check_and_parse(data: bytes) -> tuple[PeImage | None, list[str]]:
             return None, [OVERLAPPING_SECTIONS]
         else:
             raw = b""
-        sections.append(
-            SectionEntry(
-                name=name,
-                virtual_size=vsize,
-                virtual_address=vaddr,
-                raw_size=rsize,
-                raw_offset=roff,
-                reloc_offset=reloc_off,
-                linenum_offset=line_off,
-                reloc_count=reloc_n,
-                linenum_count=line_n,
-                characteristics=chars,
-                raw_data=raw,
-            )
-        )
+        sections.append(SectionEntry(*row, raw_data=raw))
 
     extents = sorted(
         (s.raw_offset, s.file_end) for s in sections if s.file_end > 0
@@ -422,14 +387,7 @@ def _check_and_parse(data: bytes) -> tuple[PeImage | None, list[str]]:
 
     image = PeImage(
         dos_header=data[:e_lfanew],
-        coff=CoffHeader(
-            machine=machine,
-            timestamp=timestamp,
-            symbol_table_offset=sym_off,
-            symbol_count=sym_count,
-            optional_header_size=opt_size,
-            characteristics=characteristics,
-        ),
+        coff=coff,
         optional=optional,
         sections=tuple(sections),
         overlay=overlay,
@@ -495,18 +453,10 @@ def serialize(image: PeImage) -> bytes:
     buf[0 : image.e_lfanew] = image.dos_header
     off = image.e_lfanew
     buf[off : off + 4] = PE_SIGNATURE
-    struct.pack_into(
-        "<HHIIIHH",
-        buf,
-        off + 4,
-        image.coff.machine,
-        len(image.sections),
-        image.coff.timestamp,
-        image.coff.symbol_table_offset,
-        image.coff.symbol_count,
-        image.coff.optional_header_size,
-        image.coff.characteristics,
-    )
+    c = image.coff
+    _COFF.pack_into(buf, off + 4, c.machine, len(image.sections), c.timestamp,
+                    c.symbol_table_offset, c.symbol_count,
+                    c.optional_header_size, c.characteristics)
     opt_off = off + 4 + COFF_SIZE
     if len(image.optional.raw) != image.coff.optional_header_size:
         raise LayoutOverflow("optional header length disagrees with COFF field")
@@ -524,7 +474,3 @@ def serialize(image: PeImage) -> bytes:
         ov = image.overlay_offset
         buf[ov : ov + len(image.overlay)] = image.overlay
     return bytes(buf)
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import features
 from .gbdt import TrainedModel
 from .mutator import DEFAULT_THRESHOLD as DEFAULT_SCORE_THRESHOLD
@@ -149,11 +147,8 @@ def classify_dir(handle: ScorerHandle, dir_path, parallelism: int = 1):
         sha = hashlib.sha256(data).hexdigest()
         return ("ok", (sha, score(handle, data)))
 
-    if parallelism == 1:
-        outcomes = [one(p) for p in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(one, paths))
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        outcomes = list(pool.map(one, paths))
 
     report: dict[str, dict] = {}
     errors: list[dict] = []
@@ -302,7 +297,6 @@ class VerdictConfig:
     poll_interval: float = 1.0
     retries: int = 3
     retry_delay: float = 0.5
-    max_poll_passes: int | None = None
     clock: object = time.time
     sleep: object = time.sleep
 
@@ -391,7 +385,6 @@ def _submit_poll_locked(state, files, config):
         state.used_today += 1
         persist()
 
-    passes = 0
     while state.pending:
         progressed = False
         for entry in list(state.pending):
@@ -403,9 +396,6 @@ def _submit_poll_locked(state, files, config):
                 persist()
                 progressed = True
         if not state.pending:
-            break
-        passes += 1
-        if config.max_poll_passes is not None and passes >= config.max_poll_passes:
             break
         if not progressed:
             config.sleep(config.poll_interval)

@@ -45,9 +45,10 @@ class TestConfig:
         assert config.selection == selector.SelectionConstants()
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
-        path = write_config(tmp_path / "c.json", {"rngseed": 3})
-        with pytest.raises(cli.ConfigError, match="unknown config keys"):
-            cli.load_config(path)
+        for key in ("rngseed", "work_dir"):
+            path = write_config(tmp_path / "c.json", {key: 3})
+            with pytest.raises(cli.ConfigError, match="unknown config keys"):
+                cli.load_config(path)
 
     def test_unknown_nested_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.json",
@@ -136,6 +137,20 @@ class TestValidate:
         assert manifest["versions"]["advforge"]
         assert manifest["rng_seed"] == 0
 
+    def test_manifest_records_parsed_argv_and_inputs(self, tmp_path,
+                                                     monkeypatch):
+        make_corpus(tmp_path / "in", 2)
+        monkeypatch.setattr("sys.argv", ["host-program", "--unrelated"])
+        argv = ["validate", str(tmp_path / "in"),
+                "--out", str(tmp_path / "out")]
+        assert dispatch(argv) == 0
+        manifest = json.loads(
+            (tmp_path / "out" / "run_manifest.json").read_text())
+        assert manifest["argv"] == argv
+        entry = manifest["inputs"]["input_dir"]
+        assert entry["path"] == str(tmp_path / "in")
+        assert len(entry["sha256"]) == 64
+
     def test_input_dir_not_mutated(self, tmp_path):
         paths = make_corpus(tmp_path / "in", 2)
         before = {p.name: p.read_bytes() for p in paths}
@@ -204,6 +219,23 @@ class TestMutateAndScore:
         for p in paths:
             assert (out / "files" / p.name).exists()
 
+    def test_mutate_stops_at_scorer_threshold(self, tmp_path):
+        make_corpus(tmp_path / "in", 1)
+        constant_model_file(tmp_path / "model.json", 2.0)  # scores 0.881
+        cfg = write_config(tmp_path / "c.json", {
+            "scorer": {"kind": "local",
+                       "model_path": str(tmp_path / "model.json"),
+                       "threshold": 0.95}})
+        out = tmp_path / "out"
+        argv = ["--config", cfg, "mutate", "--in", str(tmp_path / "in"),
+                "--out", str(out)]
+        assert dispatch(argv) == 0
+        row = json.loads((out / "campaigns.jsonl").read_text())
+        assert row["evaded"] is True
+        assert row["steps_used"] == 0
+        # the scorer section is the only threshold a campaign takes
+        assert dispatch(argv + ["--threshold", "0.5"]) == 2
+
 
 class TestHarnessCommand:
     def test_run_end_to_end(self, tmp_path, capsys):
@@ -233,7 +265,8 @@ class TestHarnessCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["chunk_states"].values()) == {"done"}
         assert (out / "chunks.json").exists()
-        assert (out / "run_manifest.json").exists()
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["command"] == "harness run"
 
 
 class TestVerdictsCommand:
@@ -396,6 +429,9 @@ class TestPoisonCommands:
         assert echoed == {"cells": 6, "failures": 0}
         heat = (out / "evasion_heatmap.csv").read_text().splitlines()
         assert len(heat) == 4  # header + 3 tau rows
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["command"] == "poison run"
+        assert manifest["inputs"]["data"]["path"] == data
 
     def test_missing_bundle_key_exit_2(self, tmp_path, rng):
         path = tmp_path / "partial.npz"

@@ -50,6 +50,30 @@ def worker_script(tmp_path):
     return f"python3 {script} {{input_dir}} {{output_dir}} {{log_file}}"
 
 
+@pytest.fixture()
+def heartbeat_command(tmp_path):
+    """Compound worker command whose worker never logs; it appends to
+    ``heartbeat`` beside itself every 50 ms, for a minute at most."""
+    script = tmp_path / "beat.py"
+    script.write_text(textwrap.dedent("""\
+        import pathlib, time
+        beat = pathlib.Path(__file__).with_name("heartbeat")
+        for _ in range(1200):
+            with open(beat, "a") as handle:
+                handle.write(".")
+            time.sleep(0.05)
+        """))
+    return f"python3 {script} {{input_dir}} {{output_dir}} {{log_file}}; true"
+
+
+def assert_heartbeat_stopped(path: Path) -> None:
+    time.sleep(0.2)
+    size = path.stat().st_size
+    time.sleep(0.3)
+    assert size > 0
+    assert path.stat().st_size == size
+
+
 def small_config(command, **kw):
     defaults = dict(worker_command=command, chunk_count=4,
                     stale_window=WINDOW, max_restarts=1, max_parallel=4)
@@ -201,6 +225,30 @@ class TestRun:
                        if cid in done)
         assert len(index) == expected
         assert {row["chunk_id"] for row in index.values()} == set(done)
+
+    def test_stale_compound_command_killed_whole(self, tmp_path,
+                                                 heartbeat_command):
+        make_corpus(tmp_path / "in", 1)
+        manifest = harness.split_dataset(tmp_path / "in", 1)
+        cfg = small_config(heartbeat_command, chunk_count=1,
+                           stale_window=0.5, max_restarts=0)
+        summary = harness.run(cfg, manifest, tmp_path / "work")
+        assert summary.chunk_states == {0: "discarded"}
+        assert_heartbeat_stopped(tmp_path / "heartbeat")
+
+    def test_interrupted_run_kills_running_workers(self, tmp_path,
+                                                   heartbeat_command):
+        make_corpus(tmp_path / "in", 1)
+        manifest = harness.split_dataset(tmp_path / "in", 1)
+
+        def interrupt(_seconds):
+            time.sleep(0.5)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            harness.run(small_config(heartbeat_command, chunk_count=1),
+                        manifest, tmp_path / "work", sleep=interrupt)
+        assert_heartbeat_stopped(tmp_path / "heartbeat")
 
     def test_nonzero_exit_consumes_restart_then_discards(self, tmp_path):
         make_corpus(tmp_path / "in", 2)
