@@ -147,7 +147,8 @@ def main() -> None:
                                           sha256_orig=sha_orig))
         pairs.append({"orig_score": s0, "adv_score": s1,
                       "orig_verdict_malicious": s0 >= handle.threshold})
-    summary = assemble_dataset(sources, candidates, work / "dataset")
+    summary = assemble_dataset(sources, candidates, work / "dataset",
+                               handle.threshold)
     print(f"  {summary['evasive_count']} evasive of "
           f"{len(sources) - summary['failed_count']} selected, "
           f"{summary['failed_count']} failed")

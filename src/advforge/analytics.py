@@ -20,9 +20,7 @@ import numpy as np
 from .records import write_csv
 from .scoring import score as score_file
 
-
-class AnalyticsError(Exception):
-    pass
+SCORE_DROP_BINS = 20
 
 
 def _quantile(sorted_values, q: float) -> float:
@@ -64,7 +62,7 @@ class ScoreDropBins:
             raise ValueError("bin counts do not conserve the sample count")
 
 
-def score_drop_bins(pairs, bin_count: int = 20) -> ScoreDropBins:
+def score_drop_bins(pairs, bin_count: int = SCORE_DROP_BINS) -> ScoreDropBins:
     """Bin score drops (orig - adv) by original score; median and IQR per bin."""
     if bin_count < 1:
         raise ValueError("bin_count must be positive")

@@ -36,8 +36,12 @@ class ScorerConfig(Record):
     kind: str | None = None
     model_path: str | None = None
     endpoint: str | None = None
-    timeout_ms: int = 10_000
+    timeout_ms: int = scoring.DEFAULT_TIMEOUT_MS
     threshold: float = scoring.DEFAULT_SCORE_THRESHOLD
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,7 @@ class QuotaConfig(Record):
     state_path: str | None = None
     service: str | None = None
     max_report_age: float = scoring.DEFAULT_REPORT_AGE
-    poll_interval: float = 1.0
+    poll_interval: float = scoring.DEFAULT_POLL_INTERVAL
 
 
 _SECTIONS = {"selection": selector.SelectionConstants,
@@ -90,6 +94,10 @@ class GlobalConfig(Record):
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
+    @property
+    def threshold(self) -> float:
+        """The evasion cut of every subcommand: ``scorer.threshold``."""
+        return (self.scorer or ScorerConfig()).threshold
 
 
 def load_config(path: str | None) -> GlobalConfig:
@@ -147,15 +155,23 @@ def write_run_manifest(out_dir, command: str, argv, config: GlobalConfig,
 
 def _describe_input(path) -> dict | None:
     """``{"path", "sha256"}`` of an input: the digest of a file's contents,
-    or of a directory's sorted entry names."""
+    or of a directory's sorted entry names, each with its entry's digest."""
     if path is None:
         return None
     p = Path(path)
     if p.is_dir():
-        blob = "\n".join(sorted(x.name for x in p.iterdir())).encode()
+        blob = "\n".join(f"{x.name} {_describe_input(x)['sha256']}"
+                         for x in sorted(p.iterdir())).encode()
     else:
         blob = p.read_bytes()
     return {"path": str(path), "sha256": hashlib.sha256(blob).hexdigest()}
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _input_files(dir_path) -> list:
@@ -313,7 +329,7 @@ def cmd_select(args, config: GlobalConfig) -> int:
         candidates = [selector.CandidateRecord.from_dict(row)
                       for row in read_jsonl(args.candidates)]
         summary = selector.assemble_dataset(sources, candidates, args.out,
-                                            constants=config.selection)
+                                            config.threshold, config.selection)
     except (TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad selection input: {exc}") from exc
     print(json.dumps(summary))
@@ -331,7 +347,7 @@ def cmd_stats(args, config: GlobalConfig) -> int:
                     and "adv_score" in p]
     if verdict_rows:
         summary["evasion_rate"] = analytics.evasion_rate(
-            verdict_rows, args.threshold)
+            verdict_rows, config.threshold)
 
     drop_rows = [p for p in pairs if "orig_score" in p and "adv_score" in p]
     if drop_rows:
@@ -408,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mutate", help="hill-climbing evasion campaigns")
     p.add_argument("--in", dest="input_dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-steps", type=int, default=200)
+    p.add_argument("--max-steps", type=_positive_int, default=200)
     p.add_argument("--pool", help="directory of benign content donors")
     p.set_defaults(func=cmd_mutate, inputs=("input_dir", "pool"))
 
@@ -422,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="classify a directory of binaries")
     p.add_argument("--in", dest="input_dir", required=True)
     p.add_argument("--out")
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=_positive_int, default=1)
     p.set_defaults(func=cmd_score, inputs=("input_dir",))
 
     p = sub.add_parser("verdicts", help="quota-limited verdict submission")
@@ -439,9 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="evasion, score drop, and size stats")
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float,
-                   default=scoring.DEFAULT_SCORE_THRESHOLD)
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--bins", type=_positive_int,
+                   default=analytics.SCORE_DROP_BINS)
     p.set_defaults(func=cmd_stats, inputs=("pairs",))
 
     p = sub.add_parser("poison", help="poisoning experiments")

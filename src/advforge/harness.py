@@ -40,10 +40,6 @@ class EmptyInput(HarnessError):
     """No valid PE files to split."""
 
 
-class SpawnFailure(HarnessError):
-    """Worker process could not be started."""
-
-
 class CollisionError(HarnessError):
     """Two chunks produced byte-identical files under one name."""
 
@@ -107,7 +103,7 @@ class ChunkManifest:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def split_dataset(input_dir, chunk_count: int = 2000) -> ChunkManifest:
+def split_dataset(input_dir, chunk_count: int) -> ChunkManifest:
     """Partition valid PE files into balanced chunks (sizes differ by <= 1).
 
     Invalid files are excluded and logged; the chunk count caps at the
@@ -204,9 +200,12 @@ def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
         clock=time.time, sleep=time.sleep, loadavg=None,
         status_stream=None, status_interval: float = 2.0) -> HarnessSummary:
     """Drive every chunk to done or discarded; returns the run summary."""
-    work = Path(work_dir)
-    chunks_root = work / "chunks"
-    chunks_root.mkdir(parents=True, exist_ok=True)
+    chunks_root = Path(work_dir) / "chunks"
+    # start empty: copying onto a leftover input link writes through it;
+    # rmtree removes the links, not their targets
+    if chunks_root.exists():
+        shutil.rmtree(chunks_root)
+    chunks_root.mkdir(parents=True)
     if loadavg is None:
         loadavg = getattr(os, "getloadavg", None)
 
@@ -360,7 +359,7 @@ def render_status(statuses: dict, now: float | None = None) -> str:
 
 def merge_outputs(manifest: ChunkManifest, summary: HarnessSummary,
                   work_dir, merged_dir) -> dict:
-    """Collect done-chunk outputs into one directory with provenance.
+    """Collect done-chunk outputs into one emptied directory with provenance.
 
     A filename emitted by two chunks with differing content is kept for
     both under chunk-prefixed names; byte-identical duplicates raise
@@ -369,7 +368,9 @@ def merge_outputs(manifest: ChunkManifest, summary: HarnessSummary,
     """
     chunks_root = Path(work_dir) / "chunks"
     merged = Path(merged_dir)
-    merged.mkdir(parents=True, exist_ok=True)
+    if merged.exists():
+        shutil.rmtree(merged)
+    merged.mkdir(parents=True)
 
     emitters: dict = {}  # plain name -> [{chunk_id, digest, merged_name}]
     index: dict = {}

@@ -153,7 +153,7 @@ def evaluate(model: TrainedModel, test_x: np.ndarray, test_y: np.ndarray,
 
 
 def cross_evaluate(model: TrainedModel, test_x: np.ndarray,
-                   test_y: np.ndarray, config=None) -> MetricsReport:
+                   test_y: np.ndarray) -> MetricsReport:
     """Same clean-set metrics on a foreign test set; no evasion component."""
     test_x = np.asarray(test_x)
     if test_x.ndim != 2 or test_x.shape[1] != model.feature_dim:
@@ -165,7 +165,7 @@ def cross_evaluate(model: TrainedModel, test_x: np.ndarray,
     return MetricsReport(
         f1=scores["f1"], precision=scores["precision"],
         recall=scores["recall"], accuracy=scores["accuracy"],
-        evasion_rate=None, config=config)
+        evasion_rate=None)
 
 
 def _heatmap_rows(tau_list, fraction_list, lookup, baseline_value):

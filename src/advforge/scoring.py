@@ -29,6 +29,8 @@ from .mutator import DEFAULT_THRESHOLD as DEFAULT_SCORE_THRESHOLD
 from .records import Record
 
 DEFAULT_REPORT_AGE = 30 * 86400.0
+DEFAULT_POLL_INTERVAL = 1.0
+DEFAULT_TIMEOUT_MS = 10_000
 
 
 class ScoringError(Exception):
@@ -58,7 +60,7 @@ class ScorerHandle:
     kind: str
     model: TrainedModel | None = None
     endpoint: str = ""
-    timeout_ms: int = 10_000
+    timeout_ms: int = DEFAULT_TIMEOUT_MS
     threshold: float = DEFAULT_SCORE_THRESHOLD
 
     def __post_init__(self) -> None:
@@ -80,7 +82,7 @@ class ScorerHandle:
         return cls(kind="local", model=model, threshold=threshold)
 
     @classmethod
-    def http(cls, endpoint: str, timeout_ms: int = 10_000,
+    def http(cls, endpoint: str, timeout_ms: int = DEFAULT_TIMEOUT_MS,
              threshold: float = DEFAULT_SCORE_THRESHOLD) -> "ScorerHandle":
         return cls(kind="http", endpoint=endpoint, timeout_ms=timeout_ms,
                    threshold=threshold)
@@ -294,7 +296,7 @@ class VerdictConfig:
     service: VerdictService
     state_path: str
     max_report_age: float = DEFAULT_REPORT_AGE
-    poll_interval: float = 1.0
+    poll_interval: float = DEFAULT_POLL_INTERVAL
     retries: int = 3
     retry_delay: float = 0.5
     clock: object = time.time

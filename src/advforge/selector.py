@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,20 +22,13 @@ from . import pe
 from .records import Record, write_jsonl
 from .scoring import DEFAULT_SCORE_THRESHOLD
 
-SIZE_RATIO_THRESHOLD = 1.5
-MAXIMUM_SIZE = 25_000_000
-
 LABEL_SCHEMES = ("family", "type")
 
 
 @dataclass(frozen=True)
 class SelectionConstants(Record):
-    ember_threshold: float = DEFAULT_SCORE_THRESHOLD
-    size_ratio_threshold: float = SIZE_RATIO_THRESHOLD
-    maximum_size: int = MAXIMUM_SIZE
-
-
-DEFAULT_CONSTANTS = SelectionConstants()
+    size_ratio_threshold: float = 1.5
+    maximum_size: int = 25_000_000
 
 
 @dataclass(frozen=True)
@@ -50,6 +42,8 @@ class CandidateRecord(Record):
     path: str = ""
     sha256_adv: str = ""
     sha256_orig: str = ""
+    ember2024_score: float | None = None
+    engine_detections: dict | None = None
 
     def __post_init__(self) -> None:
         if not self.generator:
@@ -102,7 +96,8 @@ def _check_single_source(candidates) -> None:
         raise ValueError("candidates span multiple source samples")
 
 
-def _select_index(records, constants: SelectionConstants) -> int:
+def _select_index(records, threshold: float,
+                  constants: SelectionConstants) -> int:
     """Two-pass scan with one running minimum; returns winning index or -1."""
     best_score = math.inf
     best_idx = -1
@@ -115,22 +110,24 @@ def _select_index(records, constants: SelectionConstants) -> int:
                 if ignore_size or ratio <= constants.size_ratio_threshold:
                     best_score = rec.ember_score
                     best_idx = i
-        if best_idx >= 0 and best_score < constants.ember_threshold:
+        if best_idx >= 0 and best_score < threshold:
             break
     return best_idx
 
 
-def pick_best_record(candidates, constants: SelectionConstants = DEFAULT_CONSTANTS):
+def pick_best_record(candidates, threshold: float = DEFAULT_SCORE_THRESHOLD,
+                     constants: SelectionConstants = SelectionConstants()):
     """Return the winning CandidateRecord for one source, or None."""
     _check_single_source(candidates)
     ordered = sorted(candidates, key=lambda r: r.generator)
-    idx = _select_index(ordered, constants)
+    idx = _select_index(ordered, threshold, constants)
     return None if idx < 0 else ordered[idx]
 
 
-def pick_best(candidates, constants: SelectionConstants = DEFAULT_CONSTANTS):
+def pick_best(candidates, threshold: float = DEFAULT_SCORE_THRESHOLD,
+              constants: SelectionConstants = SelectionConstants()):
     """Return the winning generator name for one source, or None."""
-    rec = pick_best_record(candidates, constants)
+    rec = pick_best_record(candidates, threshold, constants)
     return None if rec is None else rec.generator
 
 
@@ -188,9 +185,8 @@ def _screen_candidate(rec: CandidateRecord):
 
 
 def assemble_dataset(sources, candidates, out_dir,
-                     constants: SelectionConstants = DEFAULT_CONSTANTS,
-                     adv_extras: dict | None = None,
-                     parallelism: int = 4) -> dict:
+                     threshold: float = DEFAULT_SCORE_THRESHOLD,
+                     constants: SelectionConstants = SelectionConstants()) -> dict:
     """Copy each source's winning candidate and emit metadata plus a summary.
 
     Candidates are screened (readable, structurally valid PE) and run
@@ -201,7 +197,6 @@ def assemble_dataset(sources, candidates, out_dir,
     out = Path(out_dir)
     files_dir = out / "files"
     files_dir.mkdir(parents=True, exist_ok=True)
-    extras = adv_extras or {}
 
     shas = [s.sha256 for s in sources]
     if len(shas) != len(set(shas)):
@@ -225,35 +220,22 @@ def assemble_dataset(sources, candidates, out_dir,
     failures = []
     for source in sorted(sources, key=lambda s: s.sha256):
         pool = by_source.get(source.sha256, [])
-        rec = pick_best_record(pool, constants) if pool else None
+        rec = pick_best_record(pool, threshold, constants) if pool else None
         if rec is None:
             failures.append({"sha256_orig": source.sha256,
                              "reason": "no-eligible-candidate"})
         else:
             winners.append((source, rec))
 
-    def copy_one(pair):
-        source, rec = pair
+    records = []
+    for source, rec in winners:
         try:
             data = Path(rec.path).read_bytes()
             (files_dir / rec.sha256_adv).write_bytes(data)
         except OSError as exc:
-            return (source, rec, str(exc))
-        return (source, rec, None)
-
-    if winners:
-        with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-            outcomes = list(pool.map(copy_one, winners))
-    else:
-        outcomes = []
-
-    records = []
-    for source, rec, error in outcomes:
-        if error is not None:
             failures.append({"sha256_orig": source.sha256,
-                             "reason": "io-error", "detail": error})
+                             "reason": "io-error", "detail": str(exc)})
             continue
-        extra = extras.get(rec.sha256_adv, {})
         records.append(FinalRecord(
             sha256_orig=source.sha256,
             sha256_adv=rec.sha256_adv,
@@ -264,9 +246,9 @@ def assemble_dataset(sources, candidates, out_dir,
             orig_size=rec.orig_size,
             adv_size=rec.modified_size,
             ember2024_score_orig=source.ember2024_score,
-            ember2024_score_adv=extra.get("ember2024_score"),
+            ember2024_score_adv=rec.ember2024_score,
             engine_detections_orig=source.engine_detections,
-            engine_detections_adv=extra.get("engine_detections"),
+            engine_detections_adv=rec.engine_detections,
         ))
 
     write_jsonl(out / "metadata.jsonl", [r.to_dict() for r in records])
@@ -284,7 +266,7 @@ def assemble_dataset(sources, candidates, out_dir,
     summary = {
         "per_generator": per_generator,
         "evasive_count": sum(
-            1 for r in records if r.ember_score_adv < constants.ember_threshold),
+            1 for r in records if r.ember_score_adv < threshold),
         "failed_count": len(failures),
         "pathological_count": len(degenerate_log),
     }

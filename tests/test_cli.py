@@ -106,6 +106,32 @@ class TestExitCodes:
         assert code == 2
         assert "scorer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold, argv, message", [
+        (1.5, ["score", "--in", "{in}"], "threshold"),
+        (0.5, ["mutate", "--in", "{in}", "--out", "{out}",
+               "--max-steps", "0"], "--max-steps"),
+        (0.5, ["score", "--in", "{in}", "--parallelism", "0"],
+         "--parallelism"),
+        (0.5, ["stats", "--pairs", "{pairs}", "--out", "{out}",
+               "--bins", "0"], "--bins"),
+    ])
+    def test_out_of_range_setting_is_exit_2(self, tmp_path, capsys,
+                                            threshold, argv, message):
+        make_corpus(tmp_path / "in", 1)
+        constant_model_file(tmp_path / "model.json", 0.0)
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"orig_score": 0.9, "adv_score": 0.1}))
+        cfg = write_config(tmp_path / "c.json", {
+            "scorer": {"kind": "local",
+                       "model_path": str(tmp_path / "model.json"),
+                       "threshold": threshold}})
+        paths = {"in": tmp_path / "in", "out": tmp_path / "out",
+                 "pairs": pairs}
+        code = dispatch(["--config", cfg]
+                        + [arg.format(**paths) for arg in argv])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestValidate:
     def test_jsonl_to_stdout(self, tmp_path, capsys):
@@ -150,6 +176,19 @@ class TestValidate:
         entry = manifest["inputs"]["input_dir"]
         assert entry["path"] == str(tmp_path / "in")
         assert len(entry["sha256"]) == 64
+
+    def test_directory_digest_covers_file_contents(self, tmp_path):
+        paths = make_corpus(tmp_path / "in", 2)
+        digests = []
+        for run in ("a", "b"):
+            out = tmp_path / f"out_{run}"
+            assert dispatch(["validate", str(tmp_path / "in"),
+                             "--out", str(out)]) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            digests.append(manifest["inputs"]["input_dir"]["sha256"])
+            # same name, new bytes
+            paths[0].write_bytes(paths[0].read_bytes() + b"!")
+        assert digests[0] != digests[1]
 
     def test_input_dir_not_mutated(self, tmp_path):
         paths = make_corpus(tmp_path / "in", 2)
@@ -268,6 +307,36 @@ class TestHarnessCommand:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["command"] == "harness run"
 
+    def test_rerun_starts_from_empty_directories(self, tmp_path, capsys):
+        # B reuses two of A's three names with other bytes
+        make_corpus(tmp_path / "a", 3)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+        second = {f"s{i:03d}.bin": build_pe([(b".text", bytes([90 + i]) * 700,
+                                              0x60000020)])
+                  for i in range(2)}
+        (tmp_path / "b").mkdir()
+        for name, data in second.items():
+            (tmp_path / "b" / name).write_bytes(data)
+        cfg = write_config(tmp_path / "c.json", {"harness": {
+            "worker_command": "cp {input_dir}/* {output_dir}/ && "
+                              "echo ok >> {log_file}",
+            "chunk_count": 2, "stale_window": 5.0, "max_parallel": 2}})
+        out = tmp_path / "out"
+        # A then B into one --out, then the same B command again
+        for corpus in ("a", "b", "b"):
+            assert dispatch(["--config", cfg, "harness", "run",
+                             "--input", str(tmp_path / corpus),
+                             "--out", str(out)]) == 0
+            after = {p.name: p.read_bytes()
+                     for p in (tmp_path / "a").iterdir()}
+            assert after == before
+        merged = {p.name: p.read_bytes() for p in (out / "merged").iterdir()
+                  if p.name != "provenance.json"}
+        assert merged == second
+        provenance = json.loads((out / "merged" / "provenance.json")
+                                .read_text())
+        assert set(provenance) == set(second)
+
 
 class TestVerdictsCommand:
     def test_submit_poll_with_factory_service(self, tmp_path, capsys):
@@ -347,6 +416,66 @@ class TestSelectCommand:
                     if c["sha256_orig"] == row["sha256_orig"]]
             assert row["generator"] == alg1_reference(pool)
 
+    def test_select_and_stats_cut_is_scorer_threshold(self, tmp_path,
+                                                      capsys):
+        sources, candidates = self.fixture_rows(tmp_path)
+        # source 1 now has only scores between 0.871 and 0.99
+        candidates[1]["ember_score"] = 0.90
+        src_file = tmp_path / "sources.jsonl"
+        cand_file = tmp_path / "cands.jsonl"
+        src_file.write_text("\n".join(json.dumps(r) for r in sources))
+        cand_file.write_text("\n".join(json.dumps(r) for r in candidates))
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("\n".join(json.dumps(
+            {"orig_verdict_malicious": True, "adv_score": score})
+            for score in (0.5, 0.95)))
+        cfg = write_config(tmp_path / "c.json", {"scorer": {"threshold": 0.99}})
+        out = tmp_path / "out"
+
+        assert dispatch(["--config", cfg, "select", "--sources", str(src_file),
+                         "--candidates", str(cand_file),
+                         "--out", str(out / "dataset")]) == 0
+        summary = json.loads((out / "dataset" / "summary.json").read_text())
+        assert summary["evasive_count"] == 2  # 1 at 0.871
+        rows = [json.loads(line) for line in
+                (out / "dataset" / "metadata.jsonl").read_text().splitlines()]
+        assert [r["ember_score_adv"] for r in rows] == [0.95, 0.50]
+
+        assert dispatch(["--config", cfg, "stats", "--pairs", str(pairs),
+                         "--out", str(out / "stats")]) == 0
+        stats = json.loads((out / "stats" / "stats.json").read_text())
+        assert stats["evasion_rate"] == 1.0  # 0.5 at 0.871
+
+        old = write_config(tmp_path / "old.json",
+                           {"selection": {"ember_threshold": 0.99}})
+        capsys.readouterr()
+        assert dispatch(["--config", old, "select", "--sources",
+                         str(src_file), "--candidates", str(cand_file),
+                         "--out", str(out / "old")]) == 2
+        assert "selection" in capsys.readouterr().err
+
+    def test_candidate_scores_reach_metadata(self, tmp_path, capsys):
+        sources, candidates = self.fixture_rows(tmp_path)
+        for i, row in enumerate(candidates):
+            row["ember2024_score"] = i / 10
+            row["engine_detections"] = {"engineA": i % 2 == 0}
+        src_file = tmp_path / "sources.jsonl"
+        cand_file = tmp_path / "cands.jsonl"
+        src_file.write_text("\n".join(json.dumps(r) for r in sources))
+        cand_file.write_text("\n".join(json.dumps(r) for r in candidates))
+        out = tmp_path / "out"
+        assert dispatch(["select", "--sources", str(src_file),
+                         "--candidates", str(cand_file),
+                         "--out", str(out)]) == 0
+        by_adv = {c["sha256_adv"]: c for c in candidates}
+        rows = [json.loads(line) for line in
+                (out / "metadata.jsonl").read_text().splitlines()]
+        assert len(rows) == 2
+        for row in rows:
+            winner = by_adv[row["sha256_adv"]]
+            assert row["ember2024_score_adv"] == winner["ember2024_score"]
+            assert row["engine_detections_adv"] == winner["engine_detections"]
+
     def test_malformed_rows_exit_2(self, tmp_path, capsys):
         src_file = tmp_path / "sources.jsonl"
         src_file.write_text(json.dumps({"sha256": "xx",
@@ -383,13 +512,15 @@ class TestStatsCommand:
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text("\n".join(json.dumps(r) for r in rows))
         out = tmp_path / "out"
-        code = dispatch(["stats", "--pairs", str(pairs),
-                         "--out", str(out), "--threshold", "0.871"])
+        code = dispatch(["stats", "--pairs", str(pairs), "--out", str(out)])
         assert code == 0
         summary = json.loads((out / "stats.json").read_text())
         assert summary["evasion_rate"] == pytest.approx(0.75)
         assert (out / "score_drops.csv").exists()
         assert (out / "size_ratios.csv").exists()
+        # the cut is scorer.threshold, as for every subcommand
+        assert dispatch(["stats", "--pairs", str(pairs), "--out", str(out),
+                         "--threshold", "0.871"]) == 2
 
     def test_empty_pairs_exit_2(self, tmp_path):
         pairs = tmp_path / "pairs.jsonl"

@@ -60,13 +60,12 @@ class TestPickBest:
         assert pick_best([]) is None
 
     def test_custom_constants(self):
-        consts = SelectionConstants(ember_threshold=0.5,
-                                    size_ratio_threshold=1.0,
+        consts = SelectionConstants(size_ratio_threshold=1.0,
                                     maximum_size=100)
         cands = [cand("a", 0.4, orig=50, modified=60),
                  cand("b", 0.45, orig=60, modified=60)]
         # a exceeds ratio 1.0; b wins pass one and sits under 0.5.
-        assert pick_best(cands, consts) == "b"
+        assert pick_best(cands, 0.5, consts) == "b"
 
 
 def random_candidate_set(rng):
