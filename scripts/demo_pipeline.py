@@ -1,72 +1,48 @@
 """End-to-end walkthrough of the evasion and poisoning pipeline.
 
-Runs entirely on synthetic data: builds a small PE corpus, trains a
-throwaway surrogate classifier over static features, hill-climbs every
-file against it, assembles the winning candidates into a dataset with
-metadata, writes summary analytics, and finishes with a small label-flip
-poisoning grid. Takes about two seconds on one core.
+One ``forge`` session on synthetic data, run in this process through
+``advforge.cli.dispatch``: validate, train, score, mutate, select, stats
+and poison run, each into its own directory with its run manifest.
+Python builds only what comes from outside ``forge``: the labelled
+samples, the generator records (``sources``, ``candidates`` and
+``pairs``) and the 8-dim poisoning data.
 
     python3 scripts/demo_pipeline.py work/demo --count 24
 """
 
 import argparse
 import hashlib
+import json
+import statistics
 import time
 from pathlib import Path
 
 import numpy as np
 
-from advforge import analytics, features, pe
-from advforge.gbdt import Hyperparams, train
-from advforge.mutator import CampaignConfig, ContentPool, run_campaign
-from advforge.poisonlab import run_grid
-from advforge.scoring import ScorerHandle, score
-from advforge.selector import CandidateRecord, SourceSample, assemble_dataset
+from advforge.cli import dispatch
+from advforge.mutator import ContentPool
+from advforge.records import read_jsonl, write_jsonl
 from advforge.synth import write_corpus
 
-SURROGATE_HP = Hyperparams(learning_rate=0.2, num_leaves=8, max_depth=4,
-                           min_data_in_leaf=3, max_rounds=30,
-                           early_stop_rounds=0)
-POISON_HP = Hyperparams(learning_rate=0.3, num_leaves=6, min_data_in_leaf=10,
-                        max_rounds=12, early_stop_rounds=0)
+SURROGATE_HP = {"learning_rate": 0.2, "num_leaves": 8, "max_depth": 4,
+                "min_data_in_leaf": 3, "max_rounds": 30,
+                "early_stop_rounds": 0}
+POISON_HP = {"learning_rate": 0.3, "num_leaves": 6, "min_data_in_leaf": 10,
+             "max_rounds": 12, "early_stop_rounds": 0}
+PAD_BYTES = 16384
 
 
-def sha_of(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def write_samples(work: Path, count: int, seed: int) -> None:
+    """A synthetic corpus, the malicious class, and the same files padded
+    with clean content, a benign class that overlay appends can reach."""
+    pool, rng = ContentPool.fallback(), np.random.default_rng(seed)
+    (work / "benign").mkdir(parents=True, exist_ok=True)
+    for path in write_corpus(work / "corpus", count, seed=seed):
+        (work / "benign" / path.name).write_bytes(
+            path.read_bytes() + pool.sample(rng, PAD_BYTES))
 
 
-def train_surrogate(corpus: list[bytes], pool: ContentPool, seed: int):
-    """Fit a tiny detector that flags the raw corpus files as malicious.
-
-    The benign class is the same corpus with a large slab of clean pool
-    content appended, which gives the hill climber a direction it can
-    actually move in with overlay appends.
-    """
-    rng = np.random.default_rng(seed)
-    rows, labels = [], []
-    for data in corpus:
-        padded = data + pool.sample(rng, 16384)
-        rows.append(features.extract(data))
-        labels.append(1)
-        rows.append(features.extract(padded))
-        labels.append(0)
-    x = np.asarray(rows, dtype=np.float32)
-    y = np.asarray(labels, dtype=np.int64)
-    return train(x, y, SURROGATE_HP, rng_seed=seed)
-
-
-def run_campaigns(corpus, handle, pool, seed, max_steps):
-    results = []
-    for i, data in enumerate(corpus):
-        config = CampaignConfig(max_steps=max_steps,
-                                score_threshold=handle.threshold,
-                                rng_seed=seed + i)
-        results.append(run_campaign(data, lambda d: score(handle, d),
-                                    config, pool=pool))
-    return results
-
-
-def poison_world(rng, dim: int = 8):
+def write_poison_data(path: Path, rng, dim: int = 8) -> None:
     """Benign and malicious blobs whose tails overlap in one region.
 
     The adversarial cluster sits in that contested region. Malicious
@@ -80,104 +56,106 @@ def poison_world(rng, dim: int = 8):
         return pts
 
     def side():
-        benign = np.vstack([group(380, 0.0, 0.0, 0.5),
-                            group(20, 2.5, 0.0, 0.25)])
-        malicious = np.vstack([group(330, 2.5, 2.5, 0.5),
-                               group(70, 2.5, 0.0, 0.25)])
-        x = np.vstack([benign, malicious])
-        y = np.array([0] * 400 + [1] * 400, dtype=np.int64)
-        return x, y
+        x = np.vstack([group(380, 0.0, 0.0, 0.5), group(20, 2.5, 0.0, 0.25),
+                       group(330, 2.5, 2.5, 0.5), group(70, 2.5, 0.0, 0.25)])
+        return x, np.repeat([0, 1], 400)
 
-    train_x, train_y = side()
-    test_x, test_y = side()
+    (train_x, train_y), (test_x, test_y) = side(), side()
     adv = group(400, 2.5, 0.0, 0.25)
-    return train_x, train_y, test_x, test_y, adv[:200], adv[200:]
+    np.savez(path, train_x=train_x, train_y=train_y, test_x=test_x,
+             test_y=test_y, adv_pool=adv[:200], adv_test=adv[200:])
 
 
-def main() -> None:
+def write_generator_records(work: Path) -> None:
+    """``sources``, ``candidates`` and ``pairs`` rows for the one generator
+    here, the hill climber, from the ``score`` and ``mutate`` outputs."""
+    scores = json.loads((work / "scores" / "scores.json").read_text())
+    rows = {"sources": [], "candidates": [], "pairs": []}
+    for i, row in enumerate(read_jsonl(work / "adv" / "campaigns.jsonl")):
+        orig, adv_score = scores[row["sha256"]], row["final_score"]
+        adv_path = work / "adv" / "files" / Path(row["path"]).name
+        adv = adv_path.read_bytes()
+        sizes = {"generator": "hillclimb", "modified_size": len(adv),
+                 "orig_size": Path(row["path"]).stat().st_size}
+        rows["sources"].append({
+            "sha256": row["sha256"], "label_scheme": "family",
+            "label_value": f"synth{i % 5}", "ember_score": orig["score"]})
+        rows["candidates"].append({
+            **sizes, "ember_score": adv_score, "path": str(adv_path),
+            "sha256_adv": hashlib.sha256(adv).hexdigest(),
+            "sha256_orig": row["sha256"]})
+        rows["pairs"].append({
+            **sizes, "orig_score": orig["score"], "adv_score": adv_score,
+            "orig_verdict_malicious": orig["verdict"]})
+    for name, table in rows.items():
+        write_jsonl(work / f"{name}.jsonl", table)
+
+
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("work_dir", help="scratch directory for all outputs")
     ap.add_argument("--count", type=int, default=24, help="corpus size")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--max-steps", type=int, default=80)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     work = Path(args.work_dir)
     started = time.time()
+    work.mkdir(parents=True, exist_ok=True)
+    model_path = str(work / "model" / "model.json")
+    for name, config in (
+            ("forge", {"rng_seed": args.seed, "gbdt": SURROGATE_HP,
+                       "scorer": {"kind": "local", "model_path": model_path}}),
+            ("poison", {"rng_seed": args.seed, "gbdt": POISON_HP})):
+        (work / f"{name}.json").write_text(json.dumps(config))
+
+    def forge(*argv, config="forge") -> None:
+        code = dispatch(["--config", str(work / f"{config}.json")]
+                        + [str(a) for a in argv])
+        if code != 0:
+            raise SystemExit(f"forge {argv[0]} exited with {code}")
 
     print("[1/6] corpus")
-    corpus_paths = write_corpus(work / "corpus", args.count, seed=args.seed)
-    corpus = [p.read_bytes() for p in corpus_paths]
-    valid = sum(pe.validate(d).is_valid_pe for d in corpus)
-    print(f"  {valid}/{len(corpus)} files parse as valid PE")
+    write_samples(work, args.count, args.seed)
+    forge("validate", work / "corpus", "--out", work / "reports")
+    reports = read_jsonl(work / "reports" / "reports.jsonl")
+    print(f"  {sum(r['is_valid_pe'] for r in reports)}/{len(reports)} "
+          "files parse as valid PE")
 
     print("[2/6] surrogate detector")
-    pool = ContentPool.fallback()
-    model = train_surrogate(corpus, pool, args.seed)
-    handle = ScorerHandle.local(model)
-    orig_scores = [score(handle, d) for d in corpus]
-    print(f"  mean score on raw corpus: {np.mean(orig_scores):.3f} "
-          f"(threshold {handle.threshold})")
+    forge("train", "--malicious", work / "corpus", "--benign", work / "benign",
+          "--out", work / "model")
+    forge("score", "--in", work / "corpus", "--out", work / "scores")
+    scores = json.loads((work / "scores" / "scores.json").read_text())
+    print("  mean score on raw corpus: "
+          f"{statistics.fmean(s['score'] for s in scores.values()):.3f}")
 
     print("[3/6] hill-climbing campaigns")
-    results = run_campaigns(corpus, handle, pool, args.seed, args.max_steps)
-    evaded = sum(r.evaded for r in results)
-    steps = [r.steps_used for r in results if r.evaded]
-    print(f"  {evaded}/{len(results)} evaded, median steps "
-          f"{int(np.median(steps)) if steps else '-'}")
+    forge("mutate", "--in", work / "corpus", "--out", work / "adv",
+          "--max-steps", 80)
+    campaigns = read_jsonl(work / "adv" / "campaigns.jsonl")
+    steps = [r["steps_used"] for r in campaigns if r["evaded"]]
+    print(f"  {len(steps)}/{len(campaigns)} evaded, median steps "
+          f"{int(statistics.median(steps)) if steps else '-'}")
 
     print("[4/6] dataset assembly")
-    cand_dir = work / "candidates"
-    cand_dir.mkdir(parents=True, exist_ok=True)
-    sources, candidates, pairs = [], [], []
-    for data, s0, res in zip(corpus, orig_scores, results):
-        sha_orig = sha_of(data)
-        s1 = res.score_trace[-1][1]
-        sources.append(SourceSample(sha256=sha_orig, label_scheme="family",
-                                    label_value=f"synth{len(sources) % 5}",
-                                    ember_score=s0))
-        adv_path = cand_dir / f"{sha_orig}.bin"
-        adv_path.write_bytes(res.final_bytes)
-        candidates.append(CandidateRecord(generator="hillclimb",
-                                          ember_score=s1,
-                                          orig_size=len(data),
-                                          modified_size=len(res.final_bytes),
-                                          path=str(adv_path),
-                                          sha256_adv=sha_of(res.final_bytes),
-                                          sha256_orig=sha_orig))
-        pairs.append({"orig_score": s0, "adv_score": s1,
-                      "orig_verdict_malicious": s0 >= handle.threshold})
-    summary = assemble_dataset(sources, candidates, work / "dataset",
-                               handle.threshold)
-    print(f"  {summary['evasive_count']} evasive of "
-          f"{len(sources) - summary['failed_count']} selected, "
-          f"{summary['failed_count']} failed")
+    write_generator_records(work)
+    forge("select", "--sources", work / "sources.jsonl",
+          "--candidates", work / "candidates.jsonl", "--out", work / "dataset")
 
     print("[5/6] analytics")
-    stats_dir = work / "stats"
-    stats_dir.mkdir(parents=True, exist_ok=True)
-    rate = analytics.evasion_rate(pairs, handle.threshold)
-    bins = analytics.score_drop_bins(pairs, bin_count=10)
-    analytics.write_score_drop_csv(bins, stats_dir / "score_drop.csv")
-    ratios = analytics.size_ratio_stats([c.to_dict() for c in candidates])
-    analytics.write_size_ratio_csv(ratios, stats_dir / "size_ratio.csv")
-    print(f"  evasion rate {rate:.3f}, size ratio median "
-          f"{ratios[0]['median']:.3f}")
+    forge("stats", "--pairs", work / "pairs.jsonl", "--out", work / "stats",
+          "--bins", 10)
 
     print("[6/6] poisoning grid")
-    rng = np.random.default_rng(args.seed)
-    tx, ty, sx, sy, adv_pool, adv_test = poison_world(rng)
-    grid = run_grid(tx, ty, sx, sy, adv_pool, adv_test, POISON_HP,
-                    rng_seed=args.seed, tau_list=(0.0, 0.5, 1.0),
-                    fraction_list=(0.01, 0.05, 0.1),
-                    out_dir=work / "poison")
-    base = grid["baseline"]
-    worst = max(grid["cells"], key=lambda r: r.evasion_rate)
-    print(f"  baseline evasion {base.evasion_rate:.3f} f1 {base.f1:.3f}")
-    print(f"  worst cell tau={worst.config.tau} "
-          f"fraction={worst.config.poisoned_fraction}: "
-          f"evasion {worst.evasion_rate:.3f} f1 {worst.f1:.3f}")
-
+    write_poison_data(work / "poison.npz", np.random.default_rng(args.seed))
+    forge("poison", "run", "--data", work / "poison.npz", "--out",
+          work / "grid", "--grid", "small", config="poison")
+    base, *cells = read_jsonl(work / "grid" / "reports.jsonl")
+    worst = max(cells, key=lambda r: r["evasion_rate"])
+    print(f"  baseline evasion {base['evasion_rate']:.3f} f1 {base['f1']:.3f}")
+    print(f"  worst cell tau={worst['config']['tau']} "
+          f"fraction={worst['config']['poisoned_fraction']}: "
+          f"evasion {worst['evasion_rate']:.3f} f1 {worst['f1']:.3f}")
     print(f"done in {time.time() - started:.1f}s, outputs under {work}")
 
 

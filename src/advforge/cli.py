@@ -1,11 +1,11 @@
 """The forge command line: one entry point over the whole pipeline.
 
-Subcommands cover validation, mutation campaigns, worker orchestration,
-scoring, verdict submission, candidate selection, dataset analytics, and
-the poisoning grid.  Configuration comes from a single JSON file given
-via --config or the FORGE_CONFIG environment variable; unknown keys are
-rejected.  Exit codes: 0 success, 1 partial per-item failures, 2 config
-or usage errors.
+Subcommands cover surrogate training, validation, mutation campaigns,
+worker orchestration, scoring, verdict submission, candidate selection,
+dataset analytics, and the poisoning grid.  Configuration comes from a
+single JSON file given via --config or the FORGE_CONFIG environment
+variable; unknown keys are rejected.  Exit codes: 0 success, 1 partial
+per-item failures, 2 config or usage errors.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytics, gbdt, harness, mutator, pe, poisonlab
-from . import scoring, selector
-from .records import Record, read_jsonl, write_jsonl
+from . import __version__, analytics, features, gbdt, harness, mutator, pe
+from . import poisonlab, scoring, selector
+from .records import Record, list_files, read_jsonl, write_jsonl
 
 
 class ConfigError(ValueError):
@@ -174,14 +174,41 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _input_files(dir_path) -> list:
+def _input_dir(dir_path) -> Path:
     root = Path(dir_path)
     if not root.is_dir():
         raise ConfigError(f"not a directory: {dir_path}")
-    return sorted(p for p in root.iterdir() if p.is_file())
+    return root
+
+
+def _input_files(dir_path) -> list:
+    return list_files(_input_dir(dir_path))
 
 
 # ---------------------------------------------------------------- commands
+
+
+def cmd_train(args, config: GlobalConfig) -> int:
+    """Extract each class directory into ``--out`` (``<class>.f32`` and
+    ``.jsonl``), train on those rows and save ``model.json``."""
+    out = Path(args.out)
+    matrices, errors = [], []
+    for name in ("malicious", "benign"):
+        src = _input_dir(getattr(args, name))
+        rows, _skipped = features.batch_extract(src, out / f"{name}.f32",
+                                                out / f"{name}.jsonl")
+        if not rows:
+            raise ConfigError(f"no readable file in {src}")
+        errors += [f"{src / r['path']}: {r['error']}"
+                   for r in read_jsonl(out / f"{name}.jsonl") if "error" in r]
+        matrices.append(features.read_matrix(out / f"{name}.f32"))
+    labels = np.repeat([1, 0], [len(m) for m in matrices])
+    model = gbdt.train(np.vstack(matrices), labels, config.gbdt,
+                       rng_seed=config.rng_seed)
+    model.save(out / "model.json")
+    for problem in errors:
+        print(f"forge: {problem}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 def cmd_validate(args, config: GlobalConfig) -> int:
@@ -219,24 +246,24 @@ def cmd_mutate(args, config: GlobalConfig) -> int:
     rows = []
     failures = 0
     for path in files:
-        data = path.read_bytes()
-        sha = hashlib.sha256(data).hexdigest()
-        # stable per-file seed: order of files must not matter
-        seed = (config.rng_seed ^ int(sha[:16], 16)) & ((1 << 64) - 1)
-        campaign = mutator.CampaignConfig(
-            max_steps=args.max_steps,
-            score_threshold=handle.threshold,
-            rng_seed=seed)
+        row = {"path": str(path)}
         try:
+            data = path.read_bytes()
+            row["sha256"] = sha = hashlib.sha256(data).hexdigest()
+            # stable per-file seed: order of files must not matter
+            seed = (config.rng_seed ^ int(sha[:16], 16)) & ((1 << 64) - 1)
+            campaign = mutator.CampaignConfig(
+                max_steps=args.max_steps,
+                score_threshold=handle.threshold,
+                rng_seed=seed)
             result = mutator.run_campaign(
                 data, lambda b: scoring.score(handle, b), campaign, pool)
-        except (mutator.MutatorError, scoring.ScoringError) as exc:
-            rows.append({"path": str(path), "sha256": sha,
-                         "error": str(exc)})
+        except (OSError, mutator.MutatorError, scoring.ScoringError) as exc:
+            rows.append({**row, "error": str(exc)})
             failures += 1
             continue
         (files_dir / path.name).write_bytes(result.final_bytes)
-        rows.append({"path": str(path), "sha256": sha,
+        rows.append({**row,
                      "evaded": result.evaded,
                      "steps_used": result.steps_used,
                      "final_score": result.score_trace[-1][1],
@@ -408,13 +435,19 @@ def cmd_poison_cross_eval(args, config: GlobalConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="forge",
-        description="Adversarial PE pipeline: validate, mutate, "
+        description="Adversarial PE pipeline: train, validate, mutate, "
                     "orchestrate, score, select, analyze, poison.")
     parser.add_argument("--config", help="path to JSON config "
                         "(fallback: FORGE_CONFIG env var)")
     parser.add_argument("--version", action="version",
                         version=f"forge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("train", help="train the surrogate classifier")
+    p.add_argument("--malicious", required=True, help="label-1 samples")
+    p.add_argument("--benign", required=True, help="label-0 samples")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_train, inputs=("malicious", "benign"))
 
     p = sub.add_parser("validate", help="structural PE validation reports")
     p.add_argument("input_dir")

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import pathlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import pe
-from .records import write_jsonl
+from .records import list_files, write_jsonl
 
 FEATURE_DIM = 552
 
@@ -197,47 +196,26 @@ def read_matrix(path) -> np.ndarray:
     return out.copy()
 
 
-def batch_extract(
-    src_dir, matrix_path, manifest_path, parallelism: int = 1
-) -> tuple[int, int]:
-    """Extract every regular file under ``src_dir`` (sorted by name).
+def batch_extract(src_dir, matrix_path, manifest_path) -> tuple[int, int]:
+    """Extract every entry of ``src_dir`` that is not a directory, by name.
 
     Returns (rows written, files skipped).  Unreadable entries produce a
     manifest record with an ``error`` field instead of a row.
     """
-    src = pathlib.Path(src_dir)
-    entries = sorted(p for p in src.iterdir() if not p.is_dir())
-
-    def load(path):
-        try:
-            return path.read_bytes(), None
-        except OSError as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-
     rows: list[np.ndarray] = []
     records: list[dict] = []
-    skipped = 0
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        loaded = list(pool.map(load, entries))
-        datas = [d for d, err in loaded if err is None]
-        vectors = list(pool.map(extract, datas))
-
-    vec_iter = iter(vectors)
-    for path, (data, err) in zip(entries, loaded):
-        if err is not None:
-            records.append({"path": path.name, "error": err})
-            skipped += 1
+    for path in list_files(src_dir):
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            records.append({"path": path.name,
+                            "error": f"{type(exc).__name__}: {exc}"})
             continue
-        records.append(
-            {
-                "row": len(rows),
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "path": path.name,
-            }
-        )
-        rows.append(next(vec_iter))
-
+        records.append({"row": len(rows),
+                        "sha256": hashlib.sha256(data).hexdigest(),
+                        "path": path.name})
+        rows.append(extract(data))
     matrix = np.vstack(rows) if rows else np.zeros((0, FEATURE_DIM))
     write_matrix(matrix_path, matrix)
     write_jsonl(manifest_path, records)
-    return len(rows), skipped
+    return len(rows), len(records) - len(rows)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import pe
-from .records import Record
+from .records import Record, list_files
 
 TERMINAL_STATES = ("done", "discarded")
 
@@ -111,7 +111,7 @@ def split_dataset(input_dir, chunk_count: int) -> ChunkManifest:
     """
     if chunk_count < 1:
         raise ValueError("chunk_count must be at least 1")
-    paths = sorted(p for p in Path(input_dir).iterdir() if not p.is_dir())
+    paths = list_files(input_dir)
     valid = []
     excluded = []
     for path in paths:

@@ -2,7 +2,8 @@
 
 ``Record`` gives flat dataclasses one shared ``to_dict``/``from_dict``
 pair.  ``read_jsonl``/``write_jsonl`` are the package's only JSONL reader
-and writer, and ``write_csv`` its only CSV writer.
+and writer, ``write_csv`` its only CSV writer, and ``list_files`` its only
+directory listing.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import fields
+from pathlib import Path
 
 
 class Record:
@@ -35,6 +37,12 @@ class Record:
         if unknown:
             raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
         return cls(**obj)
+
+
+def list_files(dir_path) -> list:
+    """A directory's entries that are not directories, sorted by path.  A
+    dangling symlink is kept, so the caller that reads it reports it."""
+    return sorted(p for p in Path(dir_path).iterdir() if not p.is_dir())
 
 
 def read_jsonl(path) -> list:

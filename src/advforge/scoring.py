@@ -26,7 +26,7 @@ from pathlib import Path
 from . import features
 from .gbdt import TrainedModel
 from .mutator import DEFAULT_THRESHOLD as DEFAULT_SCORE_THRESHOLD
-from .records import Record
+from .records import Record, list_files
 
 DEFAULT_REPORT_AGE = 30 * 86400.0
 DEFAULT_POLL_INTERVAL = 1.0
@@ -130,24 +130,25 @@ def _score_http(handle: ScorerHandle, data: bytes) -> float:
 
 
 def classify_dir(handle: ScorerHandle, dir_path, parallelism: int = 1):
-    """Score every regular file under dir_path.
+    """Score every entry of dir_path that is not a directory.
 
     Returns ``(report, errors)`` where report maps sha256 to
     ``{"score": float, "verdict": bool}`` (verdict is score >= threshold)
-    and errors lists per-file read failures.  The report is identical for
-    any parallelism level.
+    and errors lists per-file read and scoring failures, so one failed
+    request costs only its own file.  The report is identical for any
+    parallelism level.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
-    paths = sorted(p for p in Path(dir_path).iterdir() if not p.is_dir())
+    paths = list_files(dir_path)
 
     def one(path: Path):
         try:
             data = path.read_bytes()
-        except OSError as exc:
+            return ("ok", (hashlib.sha256(data).hexdigest(),
+                           score(handle, data)))
+        except (OSError, ScoringError) as exc:
             return ("error", {"path": str(path), "error": str(exc)})
-        sha = hashlib.sha256(data).hexdigest()
-        return ("ok", (sha, score(handle, data)))
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         outcomes = list(pool.map(one, paths))

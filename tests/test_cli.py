@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advforge import cli, gbdt, selector
+from advforge import cli, features, gbdt, selector
 from advforge.cli import dispatch
+from advforge.records import read_jsonl
 from alg1_oracle import alg1_reference
 from pe_oracle import build_pe
 
@@ -22,6 +23,10 @@ def make_corpus(root: Path, count: int) -> list:
         p.write_bytes(data)
         paths.append(p)
     return paths
+
+
+def dangling_link(path: Path) -> None:
+    path.symlink_to(path.parent / "no-such-target")
 
 
 def constant_model_file(path, base_score: float) -> None:
@@ -133,6 +138,96 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
 
+TRAIN_GBDT = {"max_rounds": 5, "num_leaves": 4, "min_data_in_leaf": 2,
+              "early_stop_rounds": 0}
+
+
+def make_classes(root: Path, count: int) -> tuple:
+    """A malicious corpus and, as the benign class, its padded copies."""
+    malicious, benign = root / "mal", root / "ben"
+    benign.mkdir(parents=True)
+    for path in make_corpus(malicious, count):
+        (benign / path.name).write_bytes(path.read_bytes()
+                                         + bytes(range(256)) * 16)
+    return malicious, benign
+
+
+def run_train(tmp_path, malicious, benign, extra=None) -> int:
+    config = {"rng_seed": 3, "gbdt": TRAIN_GBDT, **(extra or {})}
+    cfg = write_config(tmp_path / "c.json", config)
+    return dispatch(["--config", cfg, "train", "--malicious", str(malicious),
+                     "--benign", str(benign), "--out", str(tmp_path / "out")])
+
+
+class TestTrainCommand:
+    def test_model_matches_gbdt_train_on_extracted_rows(self, tmp_path):
+        malicious, benign = make_classes(tmp_path, 4)
+        assert run_train(tmp_path, malicious, benign) == 0
+        blocks = []
+        for name, src in (("m", malicious), ("b", benign)):
+            assert features.batch_extract(src, tmp_path / f"{name}.f32",
+                                          tmp_path / f"{name}.jsonl") == (4, 0)
+            blocks.append(features.read_matrix(tmp_path / f"{name}.f32"))
+        model = gbdt.train(np.vstack(blocks), np.array([1] * 4 + [0] * 4),
+                           gbdt.Hyperparams(**TRAIN_GBDT), rng_seed=3)
+        assert model.trees and not model.degenerate
+        model.save(tmp_path / "oracle.json")
+        out = tmp_path / "out"
+        assert ((out / "model.json").read_bytes()
+                == (tmp_path / "oracle.json").read_bytes())
+        for name, src in (("malicious", malicious), ("benign", benign)):
+            rows = read_jsonl(out / f"{name}.jsonl")
+            assert [r["path"] for r in rows] == [p.name for p in
+                                                 sorted(src.iterdir())]
+
+    def test_manifest_digests_both_directories(self, tmp_path):
+        malicious, benign = make_classes(tmp_path, 4)
+        assert run_train(tmp_path, malicious, benign) == 0
+        manifest = json.loads(
+            (tmp_path / "out" / "run_manifest.json").read_text())
+        assert manifest["command"] == "train"
+        assert manifest["inputs"] == {
+            "malicious": cli._describe_input(str(malicious)),
+            "benign": cli._describe_input(str(benign))}
+        assert (manifest["inputs"]["malicious"]["sha256"]
+                != manifest["inputs"]["benign"]["sha256"])
+
+    def test_unreadable_file_is_exit_1(self, tmp_path, capsys):
+        malicious, benign = make_classes(tmp_path, 4)
+        dangling_link(benign / "gone.bin")
+        assert run_train(tmp_path, malicious, benign) == 1
+        assert "gone.bin" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert gbdt.TrainedModel.load(out / "model.json").trees
+        errors = [r for r in read_jsonl(out / "benign.jsonl") if "error" in r]
+        assert [r["path"] for r in errors] == ["gone.bin"]
+
+    def test_class_directory_without_readable_file_is_exit_2(self, tmp_path,
+                                                             capsys):
+        malicious, benign = make_classes(tmp_path, 4)
+        empty, links = tmp_path / "empty", tmp_path / "links"
+        empty.mkdir()
+        links.mkdir()
+        dangling_link(links / "gone.bin")
+        assert run_train(tmp_path, malicious, empty) == 2
+        assert run_train(tmp_path, links, benign) == 2
+        assert run_train(tmp_path, malicious, tmp_path / "missing") == 2
+        err = capsys.readouterr().err
+        assert "no readable file" in err and "not a directory" in err
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    def test_trained_model_drives_mutate(self, tmp_path):
+        malicious, benign = make_classes(tmp_path, 4)
+        model_path = tmp_path / "out" / "model.json"
+        scorer = {"scorer": {"kind": "local", "model_path": str(model_path)}}
+        assert run_train(tmp_path, malicious, benign, scorer) == 0
+        out = tmp_path / "adv"
+        assert dispatch(["--config", str(tmp_path / "c.json"), "mutate",
+                         "--in", str(malicious), "--out", str(out),
+                         "--max-steps", "8"]) == 0
+        assert len(read_jsonl(out / "campaigns.jsonl")) == 4
+
+
 class TestValidate:
     def test_jsonl_to_stdout(self, tmp_path, capsys):
         make_corpus(tmp_path / "in", 3)
@@ -151,6 +246,17 @@ class TestValidate:
                 for line in capsys.readouterr().out.strip().splitlines()]
         flags = {Path(r["path"]).name: r["is_valid_pe"] for r in rows}
         assert flags == {"s000.bin": True, "bad.bin": False}
+
+    def test_dangling_link_is_an_error_row(self, tmp_path, capsys):
+        make_corpus(tmp_path / "in", 2)
+        dangling_link(tmp_path / "in" / "gone.bin")
+        assert dispatch(["validate", str(tmp_path / "in")]) == 1
+        rows = [json.loads(line)
+                for line in capsys.readouterr().out.strip().splitlines()]
+        assert [Path(r["path"]).name for r in rows] == [
+            "gone.bin", "s000.bin", "s001.bin"]
+        assert "error" in rows[0]
+        assert all(r["is_valid_pe"] for r in rows[1:])
 
     def test_out_dir_gets_reports_and_manifest(self, tmp_path):
         make_corpus(tmp_path / "in", 2)
@@ -217,6 +323,38 @@ class TestMutateAndScore:
         for row in report.values():
             assert row["verdict"] is False
             assert row["score"] == pytest.approx(1 / (1 + np.exp(2.0)))
+
+    def test_score_keeps_results_when_a_request_fails(self, tmp_path,
+                                                      stub_server, capsys):
+        make_corpus(tmp_path / "in", 2)
+        cfg = write_config(tmp_path / "c.json", {
+            "scorer": {"kind": "http", "endpoint": stub_server + "/boom"}})
+        out = tmp_path / "out"
+        code = dispatch(["--config", cfg, "score",
+                         "--in", str(tmp_path / "in"), "--out", str(out)])
+        assert code == 1
+        assert json.loads((out / "scores.json").read_text()) == {}
+        assert (out / "run_manifest.json").exists()
+        err = capsys.readouterr().err
+        assert "s000.bin" in err and "s001.bin" in err
+
+    def test_mutate_dangling_link_is_an_error_row(self, tmp_path):
+        make_corpus(tmp_path / "in", 2)
+        dangling_link(tmp_path / "in" / "gone.bin")
+        constant_model_file(tmp_path / "model.json", -2.0)
+        cfg = write_config(tmp_path / "c.json", {
+            "scorer": {"kind": "local",
+                       "model_path": str(tmp_path / "model.json"),
+                       "threshold": 0.5}})
+        out = tmp_path / "out"
+        assert dispatch(["--config", cfg, "mutate",
+                         "--in", str(tmp_path / "in"),
+                         "--out", str(out)]) == 1
+        rows = read_jsonl(out / "campaigns.jsonl")
+        assert [Path(r["path"]).name for r in rows] == [
+            "gone.bin", "s000.bin", "s001.bin"]
+        assert set(rows[0]) == {"path", "error"}
+        assert all(r["evaded"] for r in rows[1:])
 
     def test_mutate_campaigns_deterministic(self, tmp_path):
         make_corpus(tmp_path / "in", 2)
@@ -353,6 +491,16 @@ class TestVerdictsCommand:
         state = json.loads(state_path.read_text())
         assert state["used_today"] == 2
         assert len(state["completed"]) == 2
+
+    def test_dangling_link_stops_with_exit_1(self, tmp_path, capsys):
+        make_corpus(tmp_path / "in", 2)
+        dangling_link(tmp_path / "in" / "gone.bin")
+        cfg = write_config(tmp_path / "c.json", {"quota": {
+            "daily_limit": 10, "state_path": str(tmp_path / "quota.json"),
+            "service": "cli_service:make_service", "poll_interval": 0.01}})
+        assert dispatch(["--config", cfg, "verdicts",
+                         "--in", str(tmp_path / "in")]) == 1
+        assert "gone.bin" in capsys.readouterr().err
 
     def test_missing_service_is_exit_2(self, tmp_path, capsys):
         make_corpus(tmp_path / "in", 1)

@@ -203,9 +203,7 @@ class TestBatch:
         blobs = {"a.bin": b"alpha" * 40, "b.bin": b"\x00" * 10, "c.bin": b"x"}
         for name, blob in blobs.items():
             (src / name).write_bytes(blob)
-        rows, skipped = batch_extract(
-            src, tmp_path / "m.f32", tmp_path / "m.jsonl", parallelism=2
-        )
+        rows, skipped = batch_extract(src, tmp_path / "m.f32", tmp_path / "m.jsonl")
         assert (rows, skipped) == (3, 0)
         matrix = read_matrix(tmp_path / "m.f32")
         assert matrix.shape == (3, FEATURE_DIM)

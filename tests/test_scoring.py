@@ -5,9 +5,6 @@ import hashlib
 import json
 import math
 import os
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -31,53 +28,6 @@ def constant_model(prob: float) -> TrainedModel:
     margin = 0.0 if prob == 0.5 else math.log(prob / (1.0 - prob))
     return TrainedModel(trees=(), base_score=margin, learning_rate=0.1,
                         feature_dim=features.FEATURE_DIM)
-
-
-class StubHandler(BaseHTTPRequestHandler):
-    """Scripted /score endpoint; behavior keyed by request path."""
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        self.rfile.read(length)
-        if self.path == "/score":
-            body = json.dumps({"score": 0.25}).encode()
-        elif self.path == "/echo-size":
-            body = json.dumps({"score": min(length / 10000.0, 1.0)}).encode()
-        elif self.path == "/missing":
-            body = json.dumps({"confidence": 0.9}).encode()
-        elif self.path == "/notjson":
-            body = b"plainly not json"
-        elif self.path == "/outofrange":
-            body = json.dumps({"score": 3.5}).encode()
-        elif self.path == "/boom":
-            self.send_response(500)
-            self.end_headers()
-            return
-        elif self.path == "/slow":
-            time.sleep(1.0)
-            body = json.dumps({"score": 0.25}).encode()
-        else:
-            self.send_response(404)
-            self.end_headers()
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, fmt, *args):
-        pass
-
-
-@pytest.fixture(scope="module")
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
 
 
 class TestScore:
