@@ -1,6 +1,6 @@
 """Dataset statistics: evasion rates, score-drop distributions, detection
-drops across engines, transferability between classifiers, and size-ratio
-tables, all emitted as plain CSV for plotting elsewhere.
+drops across engines and size-ratio tables, all emitted as plain CSV for
+plotting elsewhere.
 
 Quantiles use linear interpolation between closest ranks: for n sorted
 values and quantile q, pos = (n-1)*q, and the result is
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import write_csv
-from .scoring import score as score_file
 
 SCORE_DROP_BINS = 20
+ENGINE_COLUMNS = ("engine_detections_orig", "engine_detections_adv")
 
 
 def _quantile(sorted_values, q: float) -> float:
@@ -37,6 +37,12 @@ def _quantile(sorted_values, q: float) -> float:
     a = float(sorted_values[lo])
     b = float(sorted_values[hi])
     return a + (b - a) * t
+
+
+def _quartiles(sorted_values) -> dict:
+    """``median``, ``q25`` and ``q75`` of sorted values; None when empty."""
+    return {name: _quantile(sorted_values, q) if sorted_values else None
+            for name, q in (("median", 0.5), ("q25", 0.25), ("q75", 0.75))}
 
 
 def evasion_rate(pairs, threshold: float) -> float:
@@ -79,81 +85,39 @@ def score_drop_bins(pairs, bin_count: int = SCORE_DROP_BINS) -> ScoreDropBins:
     bins = []
     for i in range(bin_count):
         drops = sorted(drops_by_bin.get(i, ()))
-        entry = {
+        quartiles = _quartiles(drops)
+        bins.append({
             "original_score_bin": [i / bin_count, (i + 1) / bin_count],
             "count": len(drops),
-            "median_drop": _quantile(drops, 0.5) if drops else None,
-            "q25": _quantile(drops, 0.25) if drops else None,
-            "q75": _quantile(drops, 0.75) if drops else None,
-        }
-        bins.append(entry)
+            "median_drop": quartiles["median"],
+            "q25": quartiles["q25"],
+            "q75": quartiles["q75"],
+        })
     return ScoreDropBins(bins=tuple(bins), sample_count=n)
 
 
-def _engine_rates(report) -> dict:
-    return {name: bool(entry.get("detected"))
-            for name, entry in report.engines.items()}
+def detection_drops(rows) -> dict:
+    """Detection-rate deltas between each row's original and adversarial
+    engine maps.
 
-
-def _detected_fraction(report) -> float:
-    if not report.engines:
-        return 0.0
-    hits = sum(1 for v in report.engines.values() if v.get("detected"))
-    return hits / len(report.engines)
-
-
-def _top_group_fraction(report, top_group) -> float:
-    if not top_group:
-        return 0.0
-    hits = sum(1 for name in top_group
-               if report.engines.get(name, {}).get("detected"))
-    return hits / len(top_group)
-
-
-def _distribution(values) -> dict:
-    if not values:
-        return {"count": 0, "median": None, "q25": None, "q75": None}
-    ordered = sorted(values)
-    return {
-        "count": len(ordered),
-        "median": _quantile(ordered, 0.5),
-        "q25": _quantile(ordered, 0.25),
-        "q75": _quantile(ordered, 0.75),
-    }
-
-
-def detection_drops(orig_reports, adv_reports, pairs, top_group=()) -> dict:
-    """Detection-rate deltas between paired original/adversarial reports.
-
-    pairs is a list of (sha256_orig, sha256_adv).  A pair missing either
-    report is logged under "unpaired" and skipped.  Per-engine rates count
-    only pairs where both reports carry the engine.
+    Each row carries both ``ENGINE_COLUMNS``, maps of ``{engine:
+    {"detected": bool, ...}}``.  Per-engine rates count only rows where
+    both maps carry the engine; ``all_engines`` is the distribution of the
+    per-row drop in the fraction of engines that detect.
     """
-    orig_by_sha = {r.sha256: r for r in orig_reports}
-    adv_by_sha = {r.sha256: r for r in adv_reports}
-    unpaired = []
-    matched = []
-    for orig_sha, adv_sha in pairs:
-        orig = orig_by_sha.get(orig_sha)
-        adv = adv_by_sha.get(adv_sha)
-        if orig is None or adv is None:
-            unpaired.append({
-                "sha256_orig": orig_sha,
-                "sha256_adv": adv_sha,
-                "missing": "orig" if orig is None else "adv",
-            })
-            continue
-        matched.append((orig, adv))
-
     engine_hits = defaultdict(lambda: [0, 0, 0])  # pairs, orig hits, adv hits
-    for orig, adv in matched:
-        orates = _engine_rates(orig)
-        arates = _engine_rates(adv)
-        for name in orates.keys() & arates.keys():
+    all_drops = []
+    for row in rows:
+        orig, adv = ({name: bool(entry.get("detected"))
+                      for name, entry in row[column].items()}
+                     for column in ENGINE_COLUMNS)
+        for name in orig.keys() & adv.keys():
             slot = engine_hits[name]
             slot[0] += 1
-            slot[1] += int(orates[name])
-            slot[2] += int(arates[name])
+            slot[1] += orig[name]
+            slot[2] += adv[name]
+        all_drops.append(sum(orig.values()) / max(len(orig), 1)
+                         - sum(adv.values()) / max(len(adv), 1))
     per_engine = []
     for name in sorted(engine_hits):
         count, ohits, ahits = engine_hits[name]
@@ -166,34 +130,9 @@ def detection_drops(orig_reports, adv_reports, pairs, top_group=()) -> dict:
             "adv_rate": arate,
             "drop": orate - arate,
         })
-
-    all_drops = [_detected_fraction(o) - _detected_fraction(a)
-                 for o, a in matched]
-    top_drops = [_top_group_fraction(o, top_group)
-                 - _top_group_fraction(a, top_group)
-                 for o, a in matched] if top_group else []
-    return {
-        "per_engine": per_engine,
-        "all_engines": _distribution(all_drops),
-        "top_group": _distribution(top_drops),
-        "unpaired": unpaired,
-    }
-
-
-def measure_transferability(scorer_a, scorer_b, files, thresholds) -> float:
-    """Among files evading scorer_a, the fraction that also evade scorer_b."""
-    threshold_a, threshold_b = thresholds
-    evading_a = []
-    for path in files:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if score_file(scorer_a, data) < threshold_a:
-            evading_a.append(data)
-    if not evading_a:
-        return 0.0
-    both = sum(1 for data in evading_a
-               if score_file(scorer_b, data) < threshold_b)
-    return both / len(evading_a)
+    return {"per_engine": per_engine,
+            "all_engines": {"count": len(all_drops),
+                            **_quartiles(sorted(all_drops))}}
 
 
 def size_ratio_stats(rows) -> list:
@@ -213,9 +152,7 @@ def size_ratio_stats(rows) -> list:
             "generator": name,
             "count": len(values),
             "mean": float(np.mean(values)),
-            "q25": _quantile(values, 0.25),
-            "median": _quantile(values, 0.5),
-            "q75": _quantile(values, 0.75),
+            **_quartiles(values),
         })
     return out
 
@@ -233,15 +170,6 @@ def write_engine_drop_csv(table: dict, path) -> None:
               ["engine", "pairs", "orig_rate", "adv_rate", "drop"],
               [(e["engine"], e["pairs"], e["orig_rate"], e["adv_rate"],
                 e["drop"]) for e in table["per_engine"]])
-
-
-def write_aggregate_drop_csv(table: dict, path) -> None:
-    rows = []
-    for name in ("all_engines", "top_group"):
-        dist = table[name]
-        rows.append((name, dist["count"], dist["median"], dist["q25"],
-                     dist["q75"]))
-    write_csv(path, ["group", "count", "median", "q25", "q75"], rows)
 
 
 def write_size_ratio_csv(stats: list, path) -> None:

@@ -155,13 +155,19 @@ def write_run_manifest(out_dir, command: str, argv, config: GlobalConfig,
 
 def _describe_input(path) -> dict | None:
     """``{"path", "sha256"}`` of an input: the digest of a file's contents,
-    or of a directory's sorted entry names, each with its entry's digest."""
+    or of a directory's sorted entry names, each with its entry's digest or,
+    for an entry that cannot be read, the marker ``unreadable``."""
     if path is None:
         return None
     p = Path(path)
     if p.is_dir():
-        blob = "\n".join(f"{x.name} {_describe_input(x)['sha256']}"
-                         for x in sorted(p.iterdir())).encode()
+        lines = []
+        for x in sorted(p.iterdir()):
+            try:
+                lines.append(f"{x.name} {_describe_input(x)['sha256']}")
+            except OSError:
+                lines.append(f"{x.name} unreadable")
+        blob = "\n".join(lines).encode()
     else:
         blob = p.read_bytes()
     return {"path": str(path), "sha256": hashlib.sha256(blob).hexdigest()}
@@ -237,11 +243,18 @@ def cmd_validate(args, config: GlobalConfig) -> int:
 def cmd_mutate(args, config: GlobalConfig) -> int:
     handle = build_scorer(config)
     files = _input_files(args.input_dir)
+    if args.pool:
+        pool_dir = _input_dir(args.pool)
+        try:
+            pool = mutator.ContentPool.from_dir(pool_dir)
+        except ValueError:
+            raise ConfigError(
+                f"no non-empty file in pool {args.pool}") from None
+    else:
+        pool = mutator.ContentPool.fallback()
     out = Path(args.out)
     files_dir = out / "files"
     files_dir.mkdir(exist_ok=True)
-    pool = (mutator.ContentPool.from_dir(args.pool) if args.pool
-            else mutator.ContentPool.fallback())
 
     rows = []
     failures = 0
@@ -298,10 +311,11 @@ def cmd_score(args, config: GlobalConfig) -> int:
     payload = json.dumps(report, indent=1, sort_keys=True)
     if args.out:
         (Path(args.out) / "scores.json").write_text(payload)
+        write_jsonl(Path(args.out) / "errors.jsonl", errors)
     else:
         print(payload)
     for problem in errors:
-        print(f"forge: {problem}", file=sys.stderr)
+        print(f"forge: {problem['path']}: {problem['error']}", file=sys.stderr)
     return 1 if errors else 0
 
 
@@ -370,24 +384,35 @@ def cmd_stats(args, config: GlobalConfig) -> int:
     out = Path(args.out)
     summary: dict = {"pairs": len(pairs)}
 
-    verdict_rows = [p for p in pairs if "orig_verdict_malicious" in p
-                    and "adv_score" in p]
-    if verdict_rows:
-        summary["evasion_rate"] = analytics.evasion_rate(
-            verdict_rows, config.threshold)
+    try:
+        verdict_rows = [p for p in pairs if "orig_verdict_malicious" in p
+                        and "adv_score" in p]
+        if verdict_rows:
+            summary["evasion_rate"] = analytics.evasion_rate(
+                verdict_rows, config.threshold)
 
-    drop_rows = [p for p in pairs if "orig_score" in p and "adv_score" in p]
-    if drop_rows:
-        bins = analytics.score_drop_bins(drop_rows, bin_count=args.bins)
-        analytics.write_score_drop_csv(bins, out / "score_drops.csv")
-        summary["score_drop_rows"] = bins.sample_count
+        drop_rows = [p for p in pairs
+                     if "orig_score" in p and "adv_score" in p]
+        if drop_rows:
+            bins = analytics.score_drop_bins(drop_rows, bin_count=args.bins)
+            analytics.write_score_drop_csv(bins, out / "score_drops.csv")
+            summary["score_drop_rows"] = bins.sample_count
 
-    ratio_rows = [p for p in pairs if "generator" in p and "orig_size" in p
-                  and "modified_size" in p]
-    if ratio_rows:
-        stats = analytics.size_ratio_stats(ratio_rows)
-        analytics.write_size_ratio_csv(stats, out / "size_ratios.csv")
-        summary["generators"] = len(stats)
+        ratio_rows = [p for p in pairs if "generator" in p
+                      and "orig_size" in p and "modified_size" in p]
+        if ratio_rows:
+            stats = analytics.size_ratio_stats(ratio_rows)
+            analytics.write_size_ratio_csv(stats, out / "size_ratios.csv")
+            summary["generators"] = len(stats)
+
+        engine_rows = [p for p in pairs
+                       if None not in map(p.get, analytics.ENGINE_COLUMNS)]
+        if engine_rows:
+            drops = analytics.detection_drops(engine_rows)
+            analytics.write_engine_drop_csv(drops, out / "engine_drops.csv")
+            summary["detection_drops"] = drops["all_engines"]
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad stats input: {exc}") from exc
 
     (out / "stats.json").write_text(json.dumps(summary, indent=1))
     print(json.dumps(summary))

@@ -492,72 +492,3 @@ def f1_score(precision: float, recall: float) -> float:
     if precision + recall == 0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
-
-
-def stratified_kfold(
-    labels: np.ndarray, k: int, rng_seed: int = 0
-) -> list[np.ndarray]:
-    """Index arrays of k folds whose class counts differ by at most 1."""
-    y = np.asarray(labels).ravel()
-    rng = np.random.default_rng(rng_seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in np.unique(y):
-        idx = np.flatnonzero(y == cls)
-        rng.shuffle(idx)
-        for part, chunk in enumerate(np.array_split(idx, k)):
-            folds[part].extend(chunk.tolist())
-    return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
-
-
-def grid_search(
-    features: np.ndarray,
-    labels: np.ndarray,
-    grid: dict,
-    k: int = 5,
-    rng_seed: int = 0,
-) -> tuple[Hyperparams, list[dict]]:
-    """Stratified k-fold CV over the cartesian grid, selecting by mean F1.
-
-    Ties break toward fewer total leaves, then lower learning rate.
-    Returns (best hyperparams, CV table sorted in evaluation order).
-    """
-    import itertools
-    y = np.asarray(labels).ravel()
-    counts = [int((y == c).sum()) for c in (0, 1)]
-    if min(counts) < k:
-        raise DegenerateData(f"need >= {k} rows of each class, have {counts}")
-
-    folds = stratified_kfold(y, k, rng_seed)
-    x = np.asarray(features, dtype=np.float32)
-
-    keys = sorted(grid)
-    table: list[dict] = []
-    best: tuple | None = None
-    best_hp: Hyperparams | None = None
-    for combo in itertools.product(*(grid[key] for key in keys)):
-        hp = Hyperparams(**dict(zip(keys, combo)))
-        fold_f1 = []
-        total_leaves = 0
-        for fold_idx in range(k):
-            val_idx = folds[fold_idx]
-            train_idx = np.concatenate(
-                [folds[j] for j in range(k) if j != fold_idx]
-            )
-            model = train(x[train_idx], y[train_idx], hp, rng_seed)
-            pred = model.predict(x[val_idx])
-            fold_f1.append(binary_metrics(y[val_idx], pred)["f1"])
-            total_leaves += model.total_leaves
-        mean_f1 = float(np.mean(fold_f1))
-        table.append(
-            {
-                "hyperparams": hp.to_dict(),
-                "mean_f1": mean_f1,
-                "fold_f1": fold_f1,
-                "total_leaves": total_leaves,
-            }
-        )
-        rank = (-mean_f1, total_leaves, hp.learning_rate)
-        if best is None or rank < best:
-            best = rank
-            best_hp = hp
-    return best_hp, table

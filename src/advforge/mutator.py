@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import pe
+from .records import list_files
 
 ACTION_KINDS = (
     "overlay_append",
@@ -169,14 +170,9 @@ class ContentPool:
 
     @classmethod
     def from_dir(cls, path) -> "ContentPool":
-        import pathlib
-
-        blobs = [
-            p.read_bytes()
-            for p in sorted(pathlib.Path(path).iterdir())
-            if p.is_file() and p.stat().st_size > 0
-        ]
-        return cls(blobs)
+        """The non-empty files of ``path``; an unreadable entry raises."""
+        blobs = (p.read_bytes() for p in list_files(path))
+        return cls([blob for blob in blobs if blob])
 
     @classmethod
     def fallback(cls) -> "ContentPool":

@@ -124,13 +124,6 @@ def pick_best_record(candidates, threshold: float = DEFAULT_SCORE_THRESHOLD,
     return None if idx < 0 else ordered[idx]
 
 
-def pick_best(candidates, threshold: float = DEFAULT_SCORE_THRESHOLD,
-              constants: SelectionConstants = SelectionConstants()):
-    """Return the winning generator name for one source, or None."""
-    rec = pick_best_record(candidates, threshold, constants)
-    return None if rec is None else rec.generator
-
-
 def reject_degenerate(records):
     """Filter generator pathologies; returns (kept, rejection log).
 

@@ -44,7 +44,8 @@ def test_selection_oracle_equivalence(verdict):
         cands = random_candidate_set(rng)
         ordered = sorted(cands, key=lambda r: r.generator)
         expected = alg1_reference([r.to_dict() for r in ordered])
-        if selector.pick_best(cands) != expected:
+        rec = selector.pick_best_record(cands)
+        if (rec.generator if rec else None) != expected:
             mismatches += 1
     elapsed = time.perf_counter() - started
     verdict("selection-oracle-equivalence",

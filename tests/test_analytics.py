@@ -3,25 +3,18 @@
 import csv
 import math
 
-import numpy as np
 import pytest
 
-from advforge import features
 from advforge.analytics import (
     ScoreDropBins,
     detection_drops,
     evasion_rate,
-    measure_transferability,
     score_drop_bins,
     size_ratio_stats,
-    write_aggregate_drop_csv,
     write_engine_drop_csv,
     write_score_drop_csv,
     write_size_ratio_csv,
 )
-from advforge.gbdt import Hyperparams, train
-from advforge.scoring import MultiEngineReport, ScorerHandle
-from advforge.scoring import score as score_file
 
 
 def oracle_quantile(values, q):
@@ -124,44 +117,41 @@ class TestScoreDropBins:
             ScoreDropBins(bins=({"count": 1},), sample_count=2)
 
 
-def report(sha, verdicts):
-    engines = {name: {"detected": hit} for name, hit in verdicts.items()}
-    return MultiEngineReport.from_engines(sha, 0.0, engines)
+def engines(verdicts):
+    """A ``MultiEngineReport.engines`` map from ``{engine: detected}``."""
+    return {name: {"detected": hit} for name, hit in verdicts.items()}
+
+
+def engine_row(orig, adv):
+    return {"engine_detections_orig": engines(orig),
+            "engine_detections_adv": engines(adv)}
 
 
 class TestDetectionDrops:
     def test_extremes(self):
-        origs = [report(f"o{i}", {"av1": True, "av2": True}) for i in range(4)]
-        advs = [report(f"a{i}", {"av1": False, "av2": True}) for i in range(4)]
-        pairs = [(f"o{i}", f"a{i}") for i in range(4)]
-        table = detection_drops(origs, advs, pairs, top_group=("av1",))
+        rows = [engine_row({"av1": True, "av2": True},
+                           {"av1": False, "av2": True}) for _ in range(4)]
+        table = detection_drops(rows)
         by_name = {e["engine"]: e for e in table["per_engine"]}
         assert by_name["av1"]["drop"] == 1.0
         assert by_name["av2"]["drop"] == 0.0
-        assert table["top_group"]["median"] == 1.0
         assert table["all_engines"]["median"] == 0.5
-        assert table["unpaired"] == []
 
     def test_identical_reports(self):
-        origs = [report(f"o{i}", {"av1": True, "av2": False})
-                 for i in range(3)]
-        advs = [report(f"a{i}", {"av1": True, "av2": False})
-                for i in range(3)]
-        pairs = [(f"o{i}", f"a{i}") for i in range(3)]
-        table = detection_drops(origs, advs, pairs, top_group=("av1", "av2"))
+        rows = [engine_row({"av1": True, "av2": False},
+                           {"av1": True, "av2": False}) for _ in range(3)]
+        table = detection_drops(rows)
         for e in table["per_engine"]:
             assert e["drop"] == 0.0
         assert table["all_engines"]["median"] == 0.0
-        assert table["top_group"]["median"] == 0.0
 
     def test_three_engine_hand_fixture(self):
         # Pair 1: 3/3 -> 1/3 detected.  Pair 2: 2/3 -> 2/3.
-        origs = [report("o1", {"a": True, "b": True, "c": True}),
-                 report("o2", {"a": True, "b": True, "c": False})]
-        advs = [report("a1", {"a": True, "b": False, "c": False}),
-                report("a2", {"a": False, "b": True, "c": True})]
-        table = detection_drops(origs, advs, [("o1", "a1"), ("o2", "a2")],
-                                top_group=("a", "b"))
+        table = detection_drops([
+            engine_row({"a": True, "b": True, "c": True},
+                       {"a": True, "b": False, "c": False}),
+            engine_row({"a": True, "b": True, "c": False},
+                       {"a": False, "b": True, "c": True})])
         by_name = {e["engine"]: e for e in table["per_engine"]}
         assert by_name["a"] == {"engine": "a", "pairs": 2, "orig_rate": 1.0,
                                 "adv_rate": 0.5, "drop": 0.5}
@@ -172,89 +162,6 @@ class TestDetectionDrops:
         # Aggregate per-pair drops: (1 - 1/3) and (2/3 - 2/3).
         drops = sorted([1 - 1 / 3, 0.0])
         assert table["all_engines"]["median"] == oracle_quantile(drops, 0.5)
-        # Top-group (a, b) drops: (1 - 1/2) and (1 - 1/2).
-        assert table["top_group"]["median"] == 0.5
-
-    def test_unpaired_recorded_and_skipped(self):
-        origs = [report("o1", {"a": True})]
-        advs = [report("a1", {"a": False})]
-        pairs = [("o1", "a1"), ("o2", "a2"), ("o1", "missing")]
-        table = detection_drops(origs, advs, pairs)
-        assert len(table["unpaired"]) == 2
-        assert table["all_engines"]["count"] == 1
-        missing = {u["missing"] for u in table["unpaired"]}
-        assert missing == {"orig", "adv"}
-
-
-def constant_scorer(prob):
-    from advforge.gbdt import TrainedModel
-    margin = 0.0 if prob == 0.5 else math.log(prob / (1 - prob))
-    model = TrainedModel(trees=(), base_score=margin, learning_rate=0.1,
-                         feature_dim=features.FEATURE_DIM)
-    return ScorerHandle.local(model)
-
-
-class TestTransferability:
-    def write_files(self, tmp_path, rng, count=12):
-        paths = []
-        for i in range(count):
-            p = tmp_path / f"f{i}.bin"
-            if i % 2:
-                p.write_bytes(rng.integers(0, 256, size=1024,
-                                           dtype=np.uint8).tobytes())
-            else:
-                p.write_bytes(bytes(1024))
-            paths.append(p)
-        return paths
-
-    def test_self_transferability(self, tmp_path, rng):
-        files = self.write_files(tmp_path, rng)
-        scorer = constant_scorer(0.3)
-        value = measure_transferability(scorer, scorer, files, (0.5, 0.5))
-        assert value == 1.0
-
-    def test_nothing_evades_b(self, tmp_path, rng):
-        from advforge.gbdt import TrainedModel
-        files = self.write_files(tmp_path, rng)
-        certain = ScorerHandle.local(TrainedModel(
-            trees=(), base_score=50.0, learning_rate=0.1,
-            feature_dim=features.FEATURE_DIM))
-        value = measure_transferability(constant_scorer(0.3), certain,
-                                        files, (0.5, 0.9))
-        assert value == 0.0
-
-    def test_empty_conditioning_set(self, tmp_path, rng):
-        files = self.write_files(tmp_path, rng)
-        value = measure_transferability(constant_scorer(0.9),
-                                        constant_scorer(0.1),
-                                        files, (0.5, 0.5))
-        assert value == 0.0
-
-    def test_trained_models_match_recount(self, tmp_path, rng):
-        lows = [bytes(1024) for _ in range(12)]
-        highs = [rng.integers(0, 256, size=1024, dtype=np.uint8).tobytes()
-                 for _ in range(12)]
-        x = np.array([features.extract(b) for b in lows + highs])
-        y = np.array([0] * 12 + [1] * 12, dtype=np.int64)
-        model_a = train(x, y, Hyperparams(num_leaves=2, min_data_in_leaf=2,
-                                          max_rounds=3, early_stop_rounds=0),
-                        rng_seed=1)
-        model_b = train(x, y, Hyperparams(num_leaves=4, min_data_in_leaf=2,
-                                          max_rounds=2, early_stop_rounds=0,
-                                          learning_rate=0.3),
-                        rng_seed=2)
-        scorer_a = ScorerHandle.local(model_a)
-        scorer_b = ScorerHandle.local(model_b)
-        files = self.write_files(tmp_path, rng, count=16)
-        thresholds = (0.6, 0.4)
-        got = measure_transferability(scorer_a, scorer_b, files, thresholds)
-
-        evading_a = [p for p in files
-                     if score_file(scorer_a, p.read_bytes()) < thresholds[0]]
-        both = [p for p in evading_a
-                if score_file(scorer_b, p.read_bytes()) < thresholds[1]]
-        assert evading_a, "fixture must have a nonempty conditioning set"
-        assert got == len(both) / len(evading_a)
 
 
 class TestSizeRatio:
@@ -302,20 +209,15 @@ class TestCsvWriters:
         assert all(r[3] == "" for r in empty)
 
     def test_engine_and_aggregate_csv(self, tmp_path):
-        origs = [report("o1", {"a": True, "b": False})]
-        advs = [report("a1", {"a": False, "b": False})]
-        table = detection_drops(origs, advs, [("o1", "a1")], top_group=("a",))
+        table = detection_drops([engine_row({"a": True, "b": False},
+                                            {"a": False, "b": False})])
         write_engine_drop_csv(table, tmp_path / "engines.csv")
-        write_aggregate_drop_csv(table, tmp_path / "agg.csv")
         with open(tmp_path / "engines.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["engine", "pairs", "orig_rate", "adv_rate", "drop"]
         assert rows[1] == ["a", "1", "1.000000", "0.000000", "1.000000"]
-        with open(tmp_path / "agg.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["group", "count", "median", "q25", "q75"]
-        assert rows[1][0] == "all_engines"
-        assert rows[2][0] == "top_group"
+        assert table["all_engines"] == {"count": 1, "median": 0.5,
+                                        "q25": 0.5, "q75": 0.5}
 
     def test_size_ratio_csv(self, tmp_path):
         stats = size_ratio_stats([

@@ -1,5 +1,6 @@
 """End-to-end tests for the forge command line."""
 
+import hashlib
 import json
 import textwrap
 from pathlib import Path
@@ -40,6 +41,16 @@ def constant_model_file(path, base_score: float) -> None:
 def write_config(path: Path, obj: dict) -> str:
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def local_scorer_config(tmp_path: Path) -> str:
+    """A config whose scorer is a constant local model that scores every
+    file 0.119, under its 0.5 cut."""
+    constant_model_file(tmp_path / "model.json", -2.0)
+    return write_config(tmp_path / "c.json", {
+        "scorer": {"kind": "local",
+                   "model_path": str(tmp_path / "model.json"),
+                   "threshold": 0.5}})
 
 
 class TestConfig:
@@ -258,6 +269,18 @@ class TestValidate:
         assert "error" in rows[0]
         assert all(r["is_valid_pe"] for r in rows[1:])
 
+    def test_dangling_link_keeps_the_manifest(self, tmp_path):
+        paths = make_corpus(tmp_path / "in", 1)
+        dangling_link(tmp_path / "in" / "gone.bin")
+        out = tmp_path / "out"
+        assert dispatch(["validate", str(tmp_path / "in"),
+                         "--out", str(out)]) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        blob = (f"gone.bin unreadable\ns000.bin "
+                f"{hashlib.sha256(paths[0].read_bytes()).hexdigest()}")
+        assert manifest["inputs"]["input_dir"]["sha256"] == (
+            hashlib.sha256(blob.encode()).hexdigest())
+
     def test_out_dir_gets_reports_and_manifest(self, tmp_path):
         make_corpus(tmp_path / "in", 2)
         out = tmp_path / "out"
@@ -320,6 +343,7 @@ class TestMutateAndScore:
         assert code == 0
         report = json.loads((out / "scores.json").read_text())
         assert len(report) == 2
+        assert (out / "errors.jsonl").read_text() == ""
         for row in report.values():
             assert row["verdict"] is False
             assert row["score"] == pytest.approx(1 / (1 + np.exp(2.0)))
@@ -335,8 +359,11 @@ class TestMutateAndScore:
         assert code == 1
         assert json.loads((out / "scores.json").read_text()) == {}
         assert (out / "run_manifest.json").exists()
-        err = capsys.readouterr().err
-        assert "s000.bin" in err and "s001.bin" in err
+        rows = read_jsonl(out / "errors.jsonl")
+        assert [Path(r["path"]).name for r in rows] == ["s000.bin", "s001.bin"]
+        assert all(set(r) == {"path", "error"} for r in rows)
+        assert capsys.readouterr().err.splitlines() == [
+            f"forge: {r['path']}: {r['error']}" for r in rows]
 
     def test_mutate_dangling_link_is_an_error_row(self, tmp_path):
         make_corpus(tmp_path / "in", 2)
@@ -355,6 +382,39 @@ class TestMutateAndScore:
             "gone.bin", "s000.bin", "s001.bin"]
         assert set(rows[0]) == {"path", "error"}
         assert all(r["evaded"] for r in rows[1:])
+
+    def test_mutate_pool_without_content_is_exit_2(self, tmp_path, capsys):
+        make_corpus(tmp_path / "in", 1)
+        (tmp_path / "pool").mkdir()
+        (tmp_path / "pool" / "empty.bin").write_bytes(b"")
+        cfg = local_scorer_config(tmp_path)
+        assert dispatch(["--config", cfg, "mutate",
+                         "--in", str(tmp_path / "in"),
+                         "--out", str(tmp_path / "out"),
+                         "--pool", str(tmp_path / "pool")]) == 2
+        assert str(tmp_path / "pool") in capsys.readouterr().err
+
+    def test_mutate_pool_that_is_a_file_is_exit_2(self, tmp_path, capsys):
+        paths = make_corpus(tmp_path / "in", 1)
+        cfg = local_scorer_config(tmp_path)
+        assert dispatch(["--config", cfg, "mutate",
+                         "--in", str(tmp_path / "in"),
+                         "--out", str(tmp_path / "out"),
+                         "--pool", str(paths[0])]) == 2
+        assert "not a directory" in capsys.readouterr().err
+
+    def test_mutate_pool_dangling_link_is_reported(self, tmp_path, capsys):
+        make_corpus(tmp_path / "in", 1)
+        make_corpus(tmp_path / "pool", 1)
+        dangling_link(tmp_path / "pool" / "gone.bin")
+        cfg = local_scorer_config(tmp_path)
+        assert dispatch(["--config", cfg, "mutate",
+                         "--in", str(tmp_path / "in"),
+                         "--out", str(tmp_path / "out"),
+                         "--pool", str(tmp_path / "pool")]) == 1
+        assert "gone.bin" in capsys.readouterr().err
+        # reported as the pool is read, before any campaign runs
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_mutate_campaigns_deterministic(self, tmp_path):
         make_corpus(tmp_path / "in", 2)
@@ -666,9 +726,52 @@ class TestStatsCommand:
         assert summary["evasion_rate"] == pytest.approx(0.75)
         assert (out / "score_drops.csv").exists()
         assert (out / "size_ratios.csv").exists()
+        assert "detection_drops" not in summary
+        assert not (out / "engine_drops.csv").exists()
         # the cut is scorer.threshold, as for every subcommand
         assert dispatch(["stats", "--pairs", str(pairs), "--out", str(out),
                          "--threshold", "0.871"]) == 2
+
+    def test_engine_drops_from_three_engine_hand_fixture(self, tmp_path):
+        def row(orig, adv):
+            return {f"engine_detections_{side}":
+                    {name: {"detected": hit} for name, hit in zip("abc", hits)}
+                    for side, hits in (("orig", orig), ("adv", adv))}
+
+        # Pair 1: 3/3 -> 1/3 detected.  Pair 2: 2/3 -> 2/3.  A row whose
+        # maps are null, as select writes them when absent, is left out.
+        rows = [row((True, True, True), (True, False, False)),
+                row((True, True, False), (False, True, True)),
+                {"engine_detections_orig": None,
+                 "engine_detections_adv": None}]
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("\n".join(json.dumps(r) for r in rows))
+        out = tmp_path / "out"
+        assert dispatch(["stats", "--pairs", str(pairs),
+                         "--out", str(out)]) == 0
+        assert (out / "engine_drops.csv").read_text().splitlines() == [
+            "engine,pairs,orig_rate,adv_rate,drop",
+            "a,2,1.000000,0.500000,0.500000",
+            "b,2,1.000000,0.500000,0.500000",
+            "c,2,0.500000,0.500000,0.000000"]
+        summary = json.loads((out / "stats.json").read_text())
+        assert summary["pairs"] == 3
+        # Per-pair drops (1 - 1/3) and (2/3 - 2/3); rank-interpolated median.
+        low, high = sorted([1 - 1 / 3, 0.0])
+        assert summary["detection_drops"]["count"] == 2
+        assert summary["detection_drops"]["median"] == (
+            low + (high - low) * 0.5)
+
+    @pytest.mark.parametrize("row", [
+        {"orig_score": 2.0, "adv_score": 0.1},
+        {"engine_detections_orig": {"a": True},
+         "engine_detections_adv": {"a": False}}])
+    def test_malformed_rows_exit_2(self, tmp_path, capsys, row):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps(row))
+        assert dispatch(["stats", "--pairs", str(pairs),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "bad stats input" in capsys.readouterr().err
 
     def test_empty_pairs_exit_2(self, tmp_path):
         pairs = tmp_path / "pairs.jsonl"

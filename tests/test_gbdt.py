@@ -13,9 +13,7 @@ from advforge.gbdt import (
     TrainedModel,
     binary_metrics,
     f1_score,
-    grid_search,
     logistic_loss,
-    stratified_kfold,
     train,
 )
 
@@ -318,60 +316,3 @@ class TestMetrics:
         assert m["precision"] == pytest.approx(3 / 4)
         assert m["recall"] == pytest.approx(3 / 4)
         assert m["accuracy"] == pytest.approx(6 / 8)
-
-
-class TestGridSearch:
-    def _fixture(self):
-        rng = np.random.default_rng(17)
-        n0, n1 = 63, 40  # 103 samples, imbalanced
-        x = np.vstack(
-            [
-                rng.normal(-2.0, 1.0, size=(n0, 3)),
-                rng.normal(2.0, 1.0, size=(n1, 3)),
-            ]
-        )
-        y = np.concatenate([np.zeros(n0), np.ones(n1)])
-        return x, y
-
-    def test_stratified_folds_preserve_ratio(self):
-        _, y = self._fixture()
-        folds = stratified_kfold(y, 5, rng_seed=0)
-        all_idx = np.concatenate(folds)
-        assert sorted(all_idx.tolist()) == list(range(103))
-        pos_counts = [int(y[f].sum()) for f in folds]
-        neg_counts = [len(f) - int(y[f].sum()) for f in folds]
-        assert max(pos_counts) - min(pos_counts) <= 1
-        assert max(neg_counts) - min(neg_counts) <= 1
-
-    def test_single_point_grid(self):
-        x, y = self._fixture()
-        grid = {
-            "learning_rate": [0.1],
-            "num_leaves": [3],
-            "min_data_in_leaf": [2],
-            "max_rounds": [5],
-            "early_stop_rounds": [0],
-        }
-        best, table = grid_search(x, y, grid, k=5, rng_seed=0)
-        assert len(table) == 1
-        assert best.num_leaves == 3
-
-    def test_better_config_wins(self):
-        x, y = self._fixture()
-        grid = {
-            "learning_rate": [0.2],
-            "num_leaves": [2, 7],
-            "min_data_in_leaf": [2],
-            "max_rounds": [1, 10],
-            "early_stop_rounds": [0],
-        }
-        # crippled point: 1 round at tiny capacity cannot match 10 rounds
-        best, table = grid_search(x, y, grid, k=5, rng_seed=0)
-        assert len(table) == 4
-        assert best.max_rounds == 10
-
-    def test_degenerate_class_counts(self):
-        x = np.zeros((10, 2))
-        y = np.array([1, 0, 0, 0, 0, 0, 0, 0, 0, 0.0])
-        with pytest.raises(DegenerateData):
-            grid_search(x, y, {"num_leaves": [2], "min_data_in_leaf": [1]}, k=5)

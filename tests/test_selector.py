@@ -13,7 +13,6 @@ from advforge.selector import (
     SelectionConstants,
     SourceSample,
     assemble_dataset,
-    pick_best,
     pick_best_record,
     reject_degenerate,
 )
@@ -31,33 +30,34 @@ def cand(generator, score, orig=1_000_000, modified=None, ratio=None, **kw):
 
 class TestPickBest:
     def test_singleton(self):
-        assert pick_best([cand("solo", 0.1, ratio=1.2)]) == "solo"
+        rec = pick_best_record([cand("solo", 0.1, ratio=1.2)])
+        assert rec.generator == "solo"
 
     def test_all_oversized_returns_none(self):
         cands = [cand("a", 0.05, orig=30_000_000, modified=30_000_001),
                  cand("b", 0.01, orig=26_000_000, modified=26_000_000)]
-        assert pick_best(cands) is None
+        assert pick_best_record(cands) is None
 
     def test_pass_two_replaces_high_score(self):
         # Pass one keeps A at 0.95 (over threshold, no early exit);
         # pass two admits B's 0.30 despite its 3.0x growth.
         cands = [cand("A", 0.95, ratio=1.2), cand("B", 0.30, ratio=3.0)]
-        assert pick_best(cands) == "B"
+        assert pick_best_record(cands).generator == "B"
 
     def test_pass_one_winner_blocks_lower_bloated_score(self):
         # B's 0.50 ends pass one under the threshold, so A's lower score
         # never gets its ratio bound relaxed.
         cands = [cand("A", 0.20, ratio=2.0), cand("B", 0.50, ratio=1.1)]
-        assert pick_best(cands) == "B"
+        assert pick_best_record(cands).generator == "B"
 
     def test_mixed_source_hashes_rejected(self):
         cands = [cand("a", 0.1, sha256_orig="x" * 64),
                  cand("b", 0.2, sha256_orig="y" * 64)]
         with pytest.raises(ValueError):
-            pick_best(cands)
+            pick_best_record(cands)
 
     def test_empty_list(self):
-        assert pick_best([]) is None
+        assert pick_best_record([]) is None
 
     def test_custom_constants(self):
         consts = SelectionConstants(size_ratio_threshold=1.0,
@@ -65,7 +65,7 @@ class TestPickBest:
         cands = [cand("a", 0.4, orig=50, modified=60),
                  cand("b", 0.45, orig=60, modified=60)]
         # a exceeds ratio 1.0; b wins pass one and sits under 0.5.
-        assert pick_best(cands, 0.5, consts) == "b"
+        assert pick_best_record(cands, 0.5, consts).generator == "b"
 
 
 def random_candidate_set(rng):
@@ -88,7 +88,8 @@ class TestOracleEquivalence:
             cands = random_candidate_set(rng)
             ordered = sorted(cands, key=lambda r: r.generator)
             expected = alg1_reference([r.to_dict() for r in ordered])
-            assert pick_best(cands) == expected
+            rec = pick_best_record(cands)
+            assert (rec.generator if rec else None) == expected
         assert time.perf_counter() - started < 60.0
 
     def test_winner_never_oversized_and_threshold_property(self):
