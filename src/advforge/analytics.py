@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import write_csv
+from .records import engine_verdicts, write_csv
 
 SCORE_DROP_BINS = 20
 ENGINE_COLUMNS = ("engine_detections_orig", "engine_detections_adv")
@@ -108,8 +108,7 @@ def detection_drops(rows) -> dict:
     engine_hits = defaultdict(lambda: [0, 0, 0])  # pairs, orig hits, adv hits
     all_drops = []
     for row in rows:
-        orig, adv = ({name: bool(entry.get("detected"))
-                      for name, entry in row[column].items()}
+        orig, adv = (engine_verdicts(row[column], column)
                      for column in ENGINE_COLUMNS)
         for name in orig.keys() & adv.keys():
             slot = engine_hits[name]

@@ -4,10 +4,20 @@ Newton boosting: per round, fit one regression tree to the gradient and
 hessian statistics of the logistic loss and add it with learning-rate
 shrinkage.  Trees grow leaf-wise (best global gain first) with exact
 split search over sorted feature columns; no histogram binning.
+
+Prediction packs every tree into one set of node arrays (``_Pack``, in
+the spirit of QuickScorer, Lucchese et al. 2015) and walks all
+(row, tree) pairs together, one depth level per numpy step; a leaf
+points to itself, so a pair that has finished stays put.  Leaf values
+are summed in the order of a per-tree loop, ``base`` and then
+``+= learning_rate * value`` tree by tree, through ``np.add.accumulate``
+along the tree axis, so the sum is bit-identical to that loop.
+Training updates its raw scores through the same walk on each new tree.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import pathlib
@@ -18,6 +28,8 @@ import numpy as np
 from .records import Record
 
 _BASE_SCORE_CLAMP = 10.0
+# (row, tree) pairs walked at once; bounds prediction's scratch memory
+_BLOCK_PAIRS = 1 << 16
 
 
 class GbdtError(Exception):
@@ -62,7 +74,7 @@ class Hyperparams(Record):
 
 @dataclass(frozen=True)
 class Tree:
-    """Flat node arrays; feature == -1 marks a leaf.
+    """One tree's flat node arrays, as stored; feature == -1 marks a leaf.
 
     Leaf values are stored unshrunk; the learning rate is applied at
     prediction time.
@@ -73,21 +85,6 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        nodes = np.zeros(x.shape[0], dtype=np.int32)
-        while True:
-            pending = np.flatnonzero(self.feature[nodes] >= 0)
-            if pending.size == 0:
-                break
-            cur = nodes[pending]
-            goes_left = (
-                x[pending, self.feature[cur]] <= self.threshold[cur]
-            )
-            nodes[pending] = np.where(
-                goes_left, self.left[cur], self.right[cur]
-            )
-        return self.value[nodes]
 
     def to_lists(self) -> dict:
         return {
@@ -113,6 +110,50 @@ class Tree:
         return int((self.feature < 0).sum())
 
 
+class _Pack:
+    """Every node of an ensemble in one set of arrays, tree after tree.
+
+    ``roots`` holds each tree's first node.  A leaf points to itself on
+    both sides and tests feature 0, so a pair that has reached its leaf
+    stays there while the walk goes on for the others.
+    """
+
+    def __init__(self, trees: tuple[Tree, ...]) -> None:
+        sizes = np.array([t.feature.size for t in trees], dtype=np.intp)
+        self.roots = np.cumsum(sizes) - sizes
+        offsets = np.repeat(self.roots, sizes)
+
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([getattr(t, name) for t in trees] or [[]])
+
+        feature = joined("feature")
+        self.leaf = feature < 0
+        self.feature = np.maximum(feature, 0)
+        self.threshold = joined("threshold")
+        self.value = joined("value")
+        self.left = joined("left") + offsets
+        self.right = joined("right") + offsets
+        own = np.flatnonzero(self.leaf)
+        self.left[own] = own
+        self.right[own] = own
+
+    def leaves(self, x: np.ndarray) -> np.ndarray:
+        """(rows, trees) index of the leaf each row reaches in each tree.
+
+        One depth level per step, over every pair, until no pair sits at
+        an internal node.  No path in a tree is longer than its node
+        count, so a walk that outlasts it has met a cycle.
+        """
+        nodes = np.tile(self.roots, (x.shape[0], 1))
+        rows = np.arange(x.shape[0])[:, None]
+        for _ in range(self.leaf.size + 1):
+            if self.leaf[nodes].all():
+                return nodes
+            goes_left = x[rows, self.feature[nodes]] <= self.threshold[nodes]
+            nodes = np.where(goes_left, self.left[nodes], self.right[nodes])
+        raise GbdtError("tree nodes form a cycle")
+
+
 @dataclass(frozen=True)
 class TrainedModel:
     trees: tuple[Tree, ...]
@@ -133,11 +174,25 @@ class TrainedModel:
             )
         return x
 
+    @functools.cached_property
+    def _pack(self) -> _Pack:
+        return _Pack(self.trees)
+
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
         x = self._check_dim(x)
-        raw = np.full(x.shape[0], self.base_score)
-        for tree in self.trees:
-            raw += self.learning_rate * tree.predict(x)
+        pack = self._pack
+        raw = np.empty(x.shape[0])
+        block = max(1, _BLOCK_PAIRS // max(1, len(self.trees)))
+        for start in range(0, x.shape[0], block):
+            rows = x[start : start + block]
+            # column 0 is the base score, column t the shrunk value of tree t
+            terms = np.empty((rows.shape[0], len(self.trees) + 1))
+            terms[:, 0] = self.base_score
+            np.multiply(
+                self.learning_rate, pack.value[pack.leaves(rows)],
+                out=terms[:, 1:],
+            )
+            raw[start : start + block] = np.add.accumulate(terms, axis=1)[:, -1]
         return raw
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -444,7 +499,8 @@ def train(
         h = p * (1.0 - p)
         tree = _grow_tree(x, g, h, order0, feats, hp, member_scratch)
         trees.append(tree)
-        raw += hp.learning_rate * tree.predict(x)
+        pack = _Pack((tree,))
+        raw += hp.learning_rate * pack.value[pack.leaves(x)[:, 0]]
         losses.append(logistic_loss(raw[fit_rows], y[fit_rows]))
 
         if val_rows.size:

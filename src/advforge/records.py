@@ -3,7 +3,9 @@
 ``Record`` gives flat dataclasses one shared ``to_dict``/``from_dict``
 pair.  ``read_jsonl``/``write_jsonl`` are the package's only JSONL reader
 and writer, ``write_csv`` its only CSV writer, and ``list_files`` its only
-directory listing.
+directory listing.  ``engine_verdicts`` is the one check of the engine-map
+columns, ``{engine: {"detected": bool, ...}}``, that ``select`` writes and
+``stats`` reads.
 """
 
 from __future__ import annotations
@@ -37,6 +39,22 @@ class Record:
         if unknown:
             raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
         return cls(**obj)
+
+
+def engine_verdicts(engines, column: str) -> dict:
+    """``{engine: detected}`` from an engine map; ValueError, naming the
+    column, unless every engine maps to an object with a boolean
+    ``detected``."""
+    if not isinstance(engines, dict):
+        raise ValueError(f"{column} must map engine names to objects")
+    verdicts = {}
+    for name, entry in engines.items():
+        detected = entry.get("detected") if isinstance(entry, dict) else None
+        if not isinstance(detected, bool):
+            raise ValueError(f"{column}: engine {name!r} must map to an "
+                             "object with a boolean 'detected'")
+        verdicts[name] = detected
+    return verdicts
 
 
 def list_files(dir_path) -> list:

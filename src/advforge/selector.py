@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import pe
-from .records import Record, write_jsonl
+from .records import Record, engine_verdicts, write_jsonl
 from .scoring import DEFAULT_SCORE_THRESHOLD
 
 LABEL_SCHEMES = ("family", "type")
@@ -52,6 +52,8 @@ class CandidateRecord(Record):
             raise ValueError("ember_score must lie in [0, 1]")
         if self.orig_size < 1 or self.modified_size < 1:
             raise ValueError("sizes must be at least 1 byte")
+        if self.engine_detections is not None:
+            engine_verdicts(self.engine_detections, "engine_detections")
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,8 @@ class SourceSample(Record):
             raise ValueError(f"unknown label scheme: {self.label_scheme!r}")
         if not self.sha256:
             raise ValueError("source sha256 must be non-empty")
+        if self.engine_detections is not None:
+            engine_verdicts(self.engine_detections, "engine_detections")
 
 
 @dataclass(frozen=True)

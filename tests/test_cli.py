@@ -666,7 +666,7 @@ class TestSelectCommand:
         sources, candidates = self.fixture_rows(tmp_path)
         for i, row in enumerate(candidates):
             row["ember2024_score"] = i / 10
-            row["engine_detections"] = {"engineA": i % 2 == 0}
+            row["engine_detections"] = {"engineA": {"detected": i % 2 == 0}}
         src_file = tmp_path / "sources.jsonl"
         cand_file = tmp_path / "cands.jsonl"
         src_file.write_text("\n".join(json.dumps(r) for r in sources))
@@ -683,6 +683,26 @@ class TestSelectCommand:
             winner = by_adv[row["sha256_adv"]]
             assert row["ember2024_score_adv"] == winner["ember2024_score"]
             assert row["engine_detections_adv"] == winner["engine_detections"]
+
+    @pytest.mark.parametrize("side", ["sources", "candidates"])
+    def test_malformed_engine_map_exit_2(self, tmp_path, capsys, side):
+        # stats reads these maps as {engine: {"detected": bool, ...}}; a
+        # bare verdict is refused here, not one step later in stats
+        sources, candidates = self.fixture_rows(tmp_path)
+        rows = {"sources": sources, "candidates": candidates}[side]
+        rows[0]["engine_detections"] = {"engineA": True}
+        src_file = tmp_path / "sources.jsonl"
+        cand_file = tmp_path / "cands.jsonl"
+        src_file.write_text("\n".join(json.dumps(r) for r in sources))
+        cand_file.write_text("\n".join(json.dumps(r) for r in candidates))
+        out = tmp_path / "out"
+        assert dispatch(["select", "--sources", str(src_file),
+                         "--candidates", str(cand_file),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad selection input: engine_detections" in err
+        assert "'engineA'" in err
+        assert not (out / "metadata.jsonl").exists()
 
     def test_malformed_rows_exit_2(self, tmp_path, capsys):
         src_file = tmp_path / "sources.jsonl"

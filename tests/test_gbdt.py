@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from advforge import gbdt
 from advforge.gbdt import (
@@ -11,6 +14,7 @@ from advforge.gbdt import (
     DimensionMismatch,
     Hyperparams,
     TrainedModel,
+    Tree,
     binary_metrics,
     f1_score,
     logistic_loss,
@@ -20,6 +24,28 @@ from advforge.gbdt import (
 
 def _sigmoid(v):
     return 1.0 / (1.0 + math.exp(-v))
+
+
+def loop_leaves(tree, x):
+    """Oracle: the node each row of float32 ``x`` reaches, one tree at a
+    time, moving only the rows still at an internal node."""
+    nodes = np.zeros(x.shape[0], dtype=np.int32)
+    while True:
+        pending = np.flatnonzero(tree.feature[nodes] >= 0)
+        if pending.size == 0:
+            return nodes
+        cur = nodes[pending]
+        goes_left = x[pending, tree.feature[cur]] <= tree.threshold[cur]
+        nodes[pending] = np.where(goes_left, tree.left[cur], tree.right[cur])
+
+
+def loop_predict_raw(model, x):
+    """Oracle: the per-tree loop, ``base`` then ``+= lr * value`` in turn."""
+    x = np.asarray(x, dtype=np.float32).reshape(-1, model.feature_dim)
+    raw = np.full(x.shape[0], model.base_score)
+    for tree in model.trees:
+        raw += model.learning_rate * tree.value[loop_leaves(tree, x)]
+    return raw
 
 
 class TestLeafValues:
@@ -239,12 +265,7 @@ class TestTraining:
         # full-sample fit (no holdout, no bagging): routing the training
         # rows through each tree must land >= 25 rows on every leaf
         for tree in model.trees:
-            nodes = np.zeros(len(x32), dtype=np.int32)
-            while (tree.feature[nodes] >= 0).any():
-                pend = np.flatnonzero(tree.feature[nodes] >= 0)
-                cur = nodes[pend]
-                goleft = x32[pend, tree.feature[cur]] <= tree.threshold[cur]
-                nodes[pend] = np.where(goleft, tree.left[cur], tree.right[cur])
+            nodes = loop_leaves(tree, x32)
             counts = np.bincount(nodes, minlength=len(tree.feature))
             for leaf in np.flatnonzero(tree.feature < 0):
                 assert counts[leaf] >= 25
@@ -295,6 +316,120 @@ class TestTraining:
             model.predict_proba(probe), back.predict_proba(probe)
         )
         assert back.feature_dim == 6
+
+
+INPUT_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.floats(width=32),
+)
+
+
+@st.composite
+def trees(draw, dim, cuts):
+    """A valid tree of depth at most 8 in pre-order; a node splits on a
+    cut that is often one of the input values, so ``<=`` ties occur."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(draw(st.floats(-1e3, 1e3)))
+        if depth < 8 and draw(st.booleans()):
+            feature[node] = draw(st.integers(0, dim - 1))
+            threshold[node] = draw(st.one_of(st.sampled_from(cuts),
+                                              st.floats(-1e6, 1e6)))
+            left[node] = grow(depth + 1)
+            right[node] = grow(depth + 1)
+        return node
+
+    grow(0)
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value, dtype=np.float64),
+    )
+
+
+@st.composite
+def models_and_inputs(draw):
+    dim = draw(st.integers(1, 5))
+    x = draw(arrays(np.float32, (draw(st.integers(1, 9)), dim),
+                    elements=INPUT_VALUES))
+    cuts = [float(v) for v in x.ravel()]
+    model = TrainedModel(
+        trees=tuple(draw(st.lists(trees(dim, cuts), max_size=12))),
+        base_score=draw(st.floats(-10.0, 10.0)),
+        learning_rate=draw(st.floats(1e-3, 1.0)),
+        feature_dim=dim,
+    )
+    return model, x
+
+
+class TestPackedWalk:
+    """The packed walk over every (row, tree) pair against the per-tree
+    loop: equal bit for bit, since the sum keeps the loop's order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(models_and_inputs())
+    def test_matches_per_tree_loop(self, case):
+        model, x = case
+        want = loop_predict_raw(model, x)
+        assert np.array_equal(model.predict_raw(x), want)
+        assert np.array_equal(model.predict_proba(x), gbdt._sigmoid(want))
+        assert np.array_equal(model.predict_raw(x[0]), want[:1])
+        with pytest.raises(DimensionMismatch):
+            model.predict_raw(np.zeros((1, model.feature_dim + 1)))
+
+    def test_blocks_of_rows_match_the_loop(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(300, 6))
+        y = (x[:, 0] * x[:, 1] > 0).astype(float)
+        hp = Hyperparams(num_leaves=15, min_data_in_leaf=3, max_rounds=40,
+                         feature_fraction=0.7, bagging_fraction=0.8)
+        model = train(x, y, hp, rng_seed=2)
+        probe = rng.normal(size=(97, 6))
+        probe[::5, 2] = np.nan
+        want = loop_predict_raw(model, probe)
+        # scratch memory is bounded by walking rows in blocks
+        monkeypatch.setattr(gbdt, "_BLOCK_PAIRS", 3 * len(model.trees))
+        assert np.array_equal(model.predict_raw(probe), want)
+        monkeypatch.undo()
+        assert np.array_equal(model.predict_raw(probe), want)
+
+    def test_cyclic_tree_raises(self):
+        # node 1 sends every row back to node 0, as no trained tree does
+        tree = Tree(feature=np.array([0, 0, -1], dtype=np.int32),
+                    threshold=np.array([1.0, 2.0, 0.0]),
+                    left=np.array([1, 0, -1], dtype=np.int32),
+                    right=np.array([2, 2, -1], dtype=np.int32),
+                    value=np.zeros(3))
+        model = TrainedModel(trees=(tree,), base_score=0.0,
+                             learning_rate=1.0, feature_dim=1)
+        assert model.predict_raw(np.array([5.0]))[0] == 0.0
+        with pytest.raises(gbdt.GbdtError, match="cycle"):
+            model.predict_raw(np.array([0.5]))
+
+    def test_pack_stays_out_of_equality_repr_and_file(self, tmp_path):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        hp = Hyperparams(min_data_in_leaf=1, max_rounds=2,
+                         early_stop_rounds=0)
+        model = train(x, y, hp)
+        model.save(tmp_path / "before.json")
+        text = repr(model)
+        model.predict_raw(x)
+        model.save(tmp_path / "after.json")
+        assert repr(model) == text
+        assert (tmp_path / "before.json").read_bytes() == (
+            tmp_path / "after.json").read_bytes()
+        degenerate = train(x, np.ones(4), hp)
+        degenerate.predict_raw(x)
+        assert degenerate == train(x, np.ones(4), hp)
 
 
 class TestMetrics:

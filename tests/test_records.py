@@ -2,7 +2,7 @@
 
 import pytest
 
-from advforge import cli, gbdt, harness, poisonlab, scoring, selector
+from advforge import cli, gbdt, harness, poisonlab, records, scoring, selector
 
 HARNESS = harness.HarnessConfig(
     worker_command="w {input_dir} {output_dir} {log_file}",
@@ -21,7 +21,7 @@ RECORDS = [
                              sha256_orig="o"),
     selector.SourceSample(sha256="o", label_scheme="family",
                           label_value="zeus", ember_score=0.9,
-                          engine_detections={"a": 1}),
+                          engine_detections=ENGINES),
     selector.FinalRecord(sha256_orig="o", sha256_adv="a",
                          label={"scheme": "family", "value": "zeus"},
                          generator="g", ember_score_orig=0.9,
@@ -53,3 +53,10 @@ def test_unknown_key_rejected(record):
 def test_to_dict_passes_dicts_through():
     report = RECORDS[IDS.index("MultiEngineReport")]
     assert report.to_dict()["engines"] is report.engines
+
+
+def test_engine_verdicts_checks_the_map_shape():
+    assert records.engine_verdicts(ENGINES, "col") == {"a": True, "b": False}
+    for bad in ({"a": True}, {"a": {}}, {"a": {"detected": 1}}, ["a"]):
+        with pytest.raises(ValueError, match="^col"):
+            records.engine_verdicts(bad, "col")
