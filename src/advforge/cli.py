@@ -378,13 +378,13 @@ def cmd_select(args, config: GlobalConfig) -> int:
 
 
 def cmd_stats(args, config: GlobalConfig) -> int:
-    pairs = read_jsonl(args.pairs)
-    if not pairs:
-        raise ConfigError(f"no rows in {args.pairs}")
     out = Path(args.out)
-    summary: dict = {"pairs": len(pairs)}
-
     try:
+        pairs = read_jsonl(args.pairs)
+        if not pairs:
+            raise ValueError(f"no rows in {args.pairs}")
+        summary: dict = {"pairs": len(pairs)}
+
         verdict_rows = [p for p in pairs if "orig_verdict_malicious" in p
                         and "adv_score" in p]
         if verdict_rows:

@@ -2,10 +2,11 @@
 
 The coordinator splits a corpus into balanced chunks, launches one worker
 process per chunk under a parallelism cap and an optional load gate, and
-watches each worker's log file.  A log that stays unchanged for the stale
-window gets its worker killed: the chunk restarts once with a clean output
-directory, and a second freeze discards it.  Only chunks that finish
-cleanly are merged.
+every ``TICK`` (50 ms) reaps exited workers and checks each running
+worker's log file.  A log that stays unchanged for the stale window gets
+its worker killed: the chunk restarts once with a clean output directory,
+and a second freeze discards it.  Only chunks that finish cleanly are
+merged.
 
 Worker contract: the command template receives {input_dir}, {output_dir}
 and {log_file}; the worker reads every file in its input directory, writes
@@ -23,13 +24,16 @@ import shutil
 import signal
 import subprocess
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import pe
 from .records import Record, list_files
 
-TERMINAL_STATES = ("done", "discarded")
+# how often the coordinator looks at its running workers: it bounds how
+# late a finished worker is noticed; the stale window is checked apart
+TICK = 0.05
 
 
 class HarnessError(Exception):
@@ -71,11 +75,16 @@ class HarnessConfig(Record):
 
 @dataclass
 class WorkerStatus:
+    """One chunk's record: what ``render_status`` shows, plus the chunk's
+    directory, its live worker process and the last seen log signature."""
+
     chunk_id: int
     state: str = "pending"
     restarts_used: int = 0
     last_log_activity: float = 0.0
-    started_at: float = 0.0
+    root: Path | None = None
+    proc: object = None
+    log_sig: tuple = (-1, -1)
 
 
 @dataclass(frozen=True)
@@ -139,29 +148,15 @@ def split_dataset(input_dir, chunk_count: int) -> ChunkManifest:
 
 
 @dataclass
-class _Slot:
-    chunk_id: int
-    files: tuple
-    status: WorkerStatus
-    proc: object = None
-    log_path: Path = None
-    input_dir: Path = None
-    output_dir: Path = None
-    log_sig: tuple = (-1, -1)
-
-
-@dataclass
-class HarnessSummary:
+class HarnessSummary(Record):
     chunk_states: dict
     restarts: dict
     wall_time: float
     events: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {"chunk_states": {str(k): v for k, v in self.chunk_states.items()},
-                "restarts": {str(k): v for k, v in self.restarts.items()},
-                "wall_time": self.wall_time,
-                "events": self.events}
+
+def _chunk_root(work_dir, chunk_id: int) -> Path:
+    return Path(work_dir) / "chunks" / f"chunk_{chunk_id:04d}"
 
 
 def _populate_input(input_dir: Path, files) -> None:
@@ -209,21 +204,15 @@ def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
     if loadavg is None:
         loadavg = getattr(os, "getloadavg", None)
 
-    slots = []
+    statuses = {}
     for chunk_id, files in manifest.chunks:
-        root = chunks_root / f"chunk_{chunk_id:04d}"
-        slot = _Slot(chunk_id=chunk_id, files=files,
-                     status=WorkerStatus(chunk_id=chunk_id),
-                     log_path=root / "log.txt",
-                     input_dir=root / "input",
-                     output_dir=root / "output")
-        _populate_input(slot.input_dir, files)
-        slots.append(slot)
-
+        root = _chunk_root(work_dir, chunk_id)
+        _populate_input(root / "input", files)
+        statuses[chunk_id] = WorkerStatus(chunk_id, root=root)
+    pending = deque(statuses.values())
+    running = []
     events = []
-    started = clock()
-    poll_interval = config.stale_window / 10.0
-    last_render = started
+    started = last_render = clock()
 
     def note(chunk_id, event):
         events.append({"ts": clock(), "chunk_id": chunk_id, "event": event})
@@ -237,107 +226,99 @@ def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
             return True
         return current <= config.load_gate["target_load"]
 
-    def launch(slot: _Slot) -> None:
-        if slot.output_dir.exists():
-            shutil.rmtree(slot.output_dir)
-        slot.output_dir.mkdir(parents=True)
-        if slot.log_path.exists():
-            slot.log_path.unlink()
-        slot.log_path.touch()
+    def retry(w: WorkerStatus) -> bool:
+        """Spend one restart on a failed attempt; with none left, discard."""
+        if w.restarts_used < config.max_restarts:
+            w.restarts_used += 1
+            note(w.chunk_id, "restart")
+            return True
+        w.state = "discarded"
+        note(w.chunk_id, "discard")
+        return False
+
+    def launch(w: WorkerStatus) -> None:
+        """Start the chunk's worker on an empty output directory and log; a
+        failed spawn is a failed attempt."""
+        out_dir, log_path = w.root / "output", w.root / "log.txt"
         command = config.worker_command.format(
-            input_dir=str(slot.input_dir),
-            output_dir=str(slot.output_dir),
-            log_file=str(slot.log_path))
-        log_handle = open(slot.log_path, "ab")
-        try:
-            slot.proc = subprocess.Popen(
-                command, shell=True, stdout=log_handle, stderr=log_handle,
-                start_new_session=True)
-        except OSError as exc:
-            note(slot.chunk_id, f"spawn-failure:{exc}")
-            slot.proc = None
-            _fail_attempt(slot)
-            return
-        finally:
-            log_handle.close()
-        now = clock()
-        slot.status.state = "running"
-        slot.status.started_at = now
-        slot.status.last_log_activity = now
-        slot.log_sig = _log_signature(slot.log_path)
-        note(slot.chunk_id, "launch")
+            input_dir=str(w.root / "input"), output_dir=str(out_dir),
+            log_file=str(log_path))
+        while True:
+            if out_dir.exists():
+                shutil.rmtree(out_dir)
+            out_dir.mkdir()
+            log_path.unlink(missing_ok=True)
+            log_path.touch()
+            with open(log_path, "ab") as log_handle:
+                try:
+                    w.proc = subprocess.Popen(
+                        command, shell=True, stdout=log_handle,
+                        stderr=log_handle, start_new_session=True)
+                    break
+                except OSError as exc:
+                    note(w.chunk_id, f"spawn-failure:{exc}")
+            if not retry(w):
+                return
+        w.state = "running"
+        w.last_log_activity = clock()
+        w.log_sig = _log_signature(log_path)
+        note(w.chunk_id, "launch")
 
-    def _fail_attempt(slot: _Slot) -> None:
-        """One consumed attempt: restart if the budget allows, else discard."""
-        if slot.status.restarts_used < config.max_restarts:
-            slot.status.restarts_used += 1
-            slot.status.state = "restarting"
-            note(slot.chunk_id, "restart")
-            launch(slot)
-        else:
-            slot.status.state = "discarded"
-            note(slot.chunk_id, "discard")
-
-    def poll(slot: _Slot) -> None:
-        proc = slot.proc
-        if proc is None:
+    def check(w: WorkerStatus) -> None:
+        """Reap an exited worker, or kill one whose log has not changed for
+        the stale window; a failed attempt relaunches or discards."""
+        code = w.proc.poll()
+        if code == 0:
+            w.proc = None
+            w.state = "done"
+            note(w.chunk_id, "done")
             return
-        code = proc.poll()
         if code is not None:
-            slot.proc = None
-            if code == 0:
-                slot.status.state = "done"
-                note(slot.chunk_id, "done")
-            else:
-                note(slot.chunk_id, f"exit-error:{code}")
-                _fail_attempt(slot)
-            return
-        sig = _log_signature(slot.log_path)
-        now = clock()
-        if sig != slot.log_sig:
-            slot.log_sig = sig
-            slot.status.last_log_activity = now
-        elif now - slot.status.last_log_activity >= config.stale_window:
-            slot.status.state = "stale"
-            note(slot.chunk_id, "stale-kill")
-            _kill(proc)
-            slot.proc = None
-            _fail_attempt(slot)
+            note(w.chunk_id, f"exit-error:{code}")
+        else:
+            sig = _log_signature(w.root / "log.txt")
+            now = clock()
+            if sig != w.log_sig:
+                w.log_sig, w.last_log_activity = sig, now
+                return
+            if now - w.last_log_activity < config.stale_window:
+                return
+            note(w.chunk_id, "stale-kill")
+            _kill(w.proc)
+        w.proc = None
+        if retry(w):
+            launch(w)
 
     try:
         while True:
-            running = [s for s in slots if s.status.state == "running"]
-            for slot in running:
-                poll(slot)
-            pending = [s for s in slots if s.status.state == "pending"]
-            active = sum(1 for s in slots if s.status.state == "running")
-            for slot in pending:
-                if active >= config.max_parallel:
-                    break
+            for w in running:
+                check(w)
+            running = [w for w in running if w.state == "running"]
+            while pending and len(running) < config.max_parallel:
                 if not gate_open():
-                    note(slot.chunk_id, "defer-load")
+                    note(pending[0].chunk_id, "defer-load")
                     break
-                launch(slot)
-                if slot.status.state == "running":
-                    active += 1
+                w = pending.popleft()
+                launch(w)
+                if w.state == "running":
+                    running.append(w)
             if (status_stream is not None
                     and clock() - last_render >= status_interval):
-                status_stream.write(render_status(
-                    {s.chunk_id: s.status for s in slots}, now=clock()) + "\n")
+                status_stream.write(render_status(statuses, now=clock()) + "\n")
                 last_render = clock()
-            if all(s.status.state in TERMINAL_STATES for s in slots):
+            if not (pending or running):
                 break
-            sleep(poll_interval)
+            sleep(TICK)
     finally:
         # workers run in their own sessions, so a Ctrl-C or an error here
         # does not reach them: stop whatever is still running
-        for slot in slots:
-            if slot.proc is not None:
-                _kill(slot.proc)
+        for w in statuses.values():
+            if w.proc is not None:
+                _kill(w.proc)
 
     return HarnessSummary(
-        chunk_states={s.chunk_id: s.status.state for s in slots},
-        restarts={s.chunk_id: s.status.restarts_used for s in slots},
+        chunk_states={c: w.state for c, w in statuses.items()},
+        restarts={c: w.restarts_used for c, w in statuses.items()},
         wall_time=clock() - started,
         events=events)
 
@@ -366,46 +347,34 @@ def merge_outputs(manifest: ChunkManifest, summary: HarnessSummary,
     CollisionError.  Returns the provenance index mapping merged name to
     {chunk_id, source_sha256}.
     """
-    chunks_root = Path(work_dir) / "chunks"
     merged = Path(merged_dir)
     if merged.exists():
         shutil.rmtree(merged)
     merged.mkdir(parents=True)
 
-    emitters: dict = {}  # plain name -> [{chunk_id, digest, merged_name}]
-    index: dict = {}
-
-    def prefixed(chunk_id: int, name: str) -> str:
-        return f"chunk_{chunk_id:04d}__{name}"
-
+    emitters: dict = {}  # name -> [(chunk_id, path, digest)]
     for chunk_id, _files in manifest.chunks:
         if summary.chunk_states.get(chunk_id) != "done":
             continue
-        out_dir = chunks_root / f"chunk_{chunk_id:04d}" / "output"
+        out_dir = _chunk_root(work_dir, chunk_id) / "output"
         if not out_dir.is_dir():
             continue
         for src in sorted(p for p in out_dir.iterdir() if p.is_file()):
-            data = src.read_bytes()
-            digest = hashlib.sha256(data).hexdigest()
-            name = src.name
-            prior = emitters.setdefault(name, [])
-            for entry in prior:
-                if entry["digest"] == digest:
+            digest = hashlib.sha256(src.read_bytes()).hexdigest()
+            prior = emitters.setdefault(src.name, [])
+            for other_id, _src, other_digest in prior:
+                if other_digest == digest:
                     raise CollisionError(
-                        f"{name} emitted identically by chunks "
-                        f"{entry['chunk_id']} and {chunk_id}")
-            target = name
-            if prior:
-                first = prior[0]
-                if first["merged_name"] == name:
-                    renamed = prefixed(first["chunk_id"], name)
-                    os.replace(merged / name, merged / renamed)
-                    index[renamed] = index.pop(name)
-                    first["merged_name"] = renamed
-                target = prefixed(chunk_id, name)
-            prior.append({"chunk_id": chunk_id, "digest": digest,
-                          "merged_name": target})
-            (merged / target).write_bytes(data)
+                        f"{src.name} emitted identically by chunks "
+                        f"{other_id} and {chunk_id}")
+            prior.append((chunk_id, src, digest))
+
+    index: dict = {}
+    for name, group in emitters.items():
+        for chunk_id, src, _digest in group:
+            target = (name if len(group) == 1
+                      else f"chunk_{chunk_id:04d}__{name}")
+            (merged / target).write_bytes(src.read_bytes())
             index[target] = {"chunk_id": chunk_id,
                              "source_sha256": Path(name).stem}
     (merged / "provenance.json").write_text(json.dumps(index, indent=1))

@@ -381,12 +381,12 @@ def run_campaign(
     for the i-th accepted action is generated from a seed derived from
     (config.rng_seed, i), so the returned plan replays byte-identically.
     """
-    report = pe.validate(data)
-    if not report.is_valid_pe:
-        raise InvalidInput(f"input is not a valid PE: {','.join(report.reasons)}")
+    try:
+        current_image = pe.parse(data)
+    except pe.PeError as exc:
+        raise InvalidInput(f"input is not a valid PE: {exc.args[0]}") from exc
 
     rng = np.random.default_rng(config.rng_seed)
-    current_image = pe.parse(data)
     current_bytes = data
     current_score = float(scorer(current_bytes))
     trace: list[tuple[int, float]] = [(0, current_score)]

@@ -44,40 +44,28 @@ U16_MAX = 0xFFFF
 
 
 class PeError(Exception):
-    """Base class for structural PE failures."""
-
-    code = "pe-error"
+    """Base class for structural PE failures; a parse failure's first
+    argument is its rejection code."""
 
 
 class Truncated(PeError):
-    code = TRUNCATED
+    pass
 
 
 class BadSignature(PeError):
-    code = BAD_PE_SIG
+    pass
 
 
 class OverlappingSections(PeError):
-    code = OVERLAPPING_SECTIONS
+    pass
 
 
 class Oversize(PeError):
-    code = OVERSIZE
+    pass
 
 
 class LayoutOverflow(PeError):
     """Raised by the serializer when contents exceed addressable layout."""
-
-    code = "layout-overflow"
-
-
-_ERROR_BY_CODE = {
-    BAD_MZ: BadSignature,
-    BAD_PE_SIG: BadSignature,
-    TRUNCATED: Truncated,
-    OVERLAPPING_SECTIONS: OverlappingSections,
-    OVERSIZE: Oversize,
-}
 
 
 @dataclass(frozen=True)
@@ -298,49 +286,48 @@ class ValidationReport:
     sha256: str
 
 
-def _check_and_parse(data: bytes) -> tuple[PeImage | None, list[str]]:
-    """Shared structural checker. Returns (image, reasons); image is None
-    whenever reasons is non-empty. Checks stop at the first failure that
-    makes deeper structure unreadable, so the first reason names the first
-    violated invariant."""
+def parse(data: bytes) -> PeImage:
+    """Parse ``data`` into a :class:`PeImage` or raise the error naming the
+    first violated invariant: checks stop at the first failure that makes
+    deeper structure unreadable."""
     if len(data) > MAX_FILE_SIZE:
-        return None, [OVERSIZE]
+        raise Oversize(OVERSIZE)
     if len(data) < DOS_HEADER_SIZE:
-        return None, [TRUNCATED]
+        raise Truncated(TRUNCATED)
     if data[:2] != DOS_MAGIC:
-        return None, [BAD_MZ]
+        raise BadSignature(BAD_MZ)
     e_lfanew = struct.unpack_from("<I", data, E_LFANEW_OFFSET)[0]
     if e_lfanew + 4 > len(data):
-        return None, [TRUNCATED]
+        raise Truncated(TRUNCATED)
     if e_lfanew < DOS_HEADER_SIZE:
         # PE header claimed inside the DOS header itself
-        return None, [BAD_PE_SIG]
+        raise BadSignature(BAD_PE_SIG)
     if data[e_lfanew : e_lfanew + 4] != PE_SIGNATURE:
-        return None, [BAD_PE_SIG]
+        raise BadSignature(BAD_PE_SIG)
     coff_off = e_lfanew + 4
     if coff_off + COFF_SIZE > len(data):
-        return None, [TRUNCATED]
+        raise Truncated(TRUNCATED)
     machine, num_sections, *coff_rest = _COFF.unpack_from(data, coff_off)
     coff = CoffHeader(machine, *coff_rest)
     opt_size = coff.optional_header_size
     opt_off = coff_off + COFF_SIZE
     if opt_off + opt_size > len(data) or opt_size < 2:
-        return None, [TRUNCATED]
+        raise Truncated(TRUNCATED)
     magic = struct.unpack_from("<H", data, opt_off)[0]
     if magic not in (PE32_MAGIC, PE32PLUS_MAGIC):
-        return None, [BAD_PE_SIG]
+        raise BadSignature(BAD_PE_SIG)
     min_opt = 112 if magic == PE32PLUS_MAGIC else 96
     if opt_size < min_opt:
-        return None, [TRUNCATED]
+        raise Truncated(TRUNCATED)
     optional = OptionalHeader(data[opt_off : opt_off + opt_size])
     dirs_end = optional._dirs_offset + 8 * optional.num_data_directories
     if dirs_end > opt_size:
-        return None, [TRUNCATED]
+        raise Truncated(TRUNCATED)
 
     table_off = opt_off + opt_size
     table_end = table_off + SECTION_ENTRY_SIZE * num_sections
     if table_end > len(data):
-        return None, [TRUNCATED]
+        raise Truncated(TRUNCATED)
 
     sections: list[SectionEntry] = []
     for i in range(num_sections):
@@ -348,13 +335,13 @@ def _check_and_parse(data: bytes) -> tuple[PeImage | None, list[str]]:
         rsize, roff = row[3], row[4]
         if rsize > 0 and roff > 0:
             if roff + rsize > len(data):
-                return None, [TRUNCATED]
+                raise Truncated(TRUNCATED)
             if roff < table_end:
-                return None, [OVERLAPPING_SECTIONS]
+                raise OverlappingSections(OVERLAPPING_SECTIONS)
             raw = data[roff : roff + rsize]
         elif rsize > 0:
             # nonzero size with a zero data pointer would alias the headers
-            return None, [OVERLAPPING_SECTIONS]
+            raise OverlappingSections(OVERLAPPING_SECTIONS)
         else:
             raw = b""
         sections.append(SectionEntry(*row, raw_data=raw))
@@ -364,7 +351,7 @@ def _check_and_parse(data: bytes) -> tuple[PeImage | None, list[str]]:
     )
     for (a_start, a_end), (b_start, _) in zip(extents, extents[1:]):
         if b_start < a_end:
-            return None, [OVERLAPPING_SECTIONS]
+            raise OverlappingSections(OVERLAPPING_SECTIONS)
 
     overlay_start = table_end
     for s in sections:
@@ -385,7 +372,7 @@ def _check_and_parse(data: bytes) -> tuple[PeImage | None, list[str]]:
     if cursor < overlay_start:
         gaps.append((cursor, data[cursor:overlay_start]))
 
-    image = PeImage(
+    return PeImage(
         dos_header=data[:e_lfanew],
         coff=coff,
         optional=optional,
@@ -393,25 +380,18 @@ def _check_and_parse(data: bytes) -> tuple[PeImage | None, list[str]]:
         overlay=overlay,
         gaps=tuple(gaps),
     )
-    return image, []
-
-
-def parse(data: bytes) -> PeImage:
-    """Parse ``data`` into a :class:`PeImage` or raise the error naming the
-    first violated invariant."""
-    image, reasons = _check_and_parse(data)
-    if reasons:
-        raise _ERROR_BY_CODE[reasons[0]](reasons[0])
-    assert image is not None
-    return image
 
 
 def validate(data: bytes) -> ValidationReport:
     """Total structural check; never raises."""
-    _, reasons = _check_and_parse(data)
+    try:
+        parse(data)
+        reasons = ()
+    except PeError as exc:
+        reasons = (exc.args[0],)
     return ValidationReport(
         is_valid_pe=not reasons,
-        reasons=tuple(reasons),
+        reasons=reasons,
         file_size=len(data),
         sha256=hashlib.sha256(data).hexdigest(),
     )

@@ -141,15 +141,18 @@ def _evasion(model: TrainedModel, adv_x: np.ndarray) -> float:
 
 
 def evaluate(model: TrainedModel, test_x: np.ndarray, test_y: np.ndarray,
-             adv_x: np.ndarray, config=None) -> MetricsReport:
+             adv_x: np.ndarray | None, config=None) -> MetricsReport:
     """Clean-set metrics at the model's decision threshold, plus the
-    fraction of adversarial rows predicted benign."""
+    fraction of adversarial rows predicted benign (None without
+    ``adv_x``)."""
     preds = model.predict(np.asarray(test_x))
     scores = binary_metrics(np.asarray(test_y), preds)
     return MetricsReport(
         f1=scores["f1"], precision=scores["precision"],
         recall=scores["recall"], accuracy=scores["accuracy"],
-        evasion_rate=_evasion(model, np.asarray(adv_x)), config=config)
+        evasion_rate=(None if adv_x is None
+                      else _evasion(model, np.asarray(adv_x))),
+        config=config)
 
 
 def cross_evaluate(model: TrainedModel, test_x: np.ndarray,
@@ -160,12 +163,7 @@ def cross_evaluate(model: TrainedModel, test_x: np.ndarray,
         raise DimensionMismatch(
             f"model expects {model.feature_dim} features, "
             f"got {test_x.shape[1] if test_x.ndim == 2 else 'non-2d'}")
-    preds = model.predict(test_x)
-    scores = binary_metrics(np.asarray(test_y), preds)
-    return MetricsReport(
-        f1=scores["f1"], precision=scores["precision"],
-        recall=scores["recall"], accuracy=scores["accuracy"],
-        evasion_rate=None)
+    return evaluate(model, test_x, test_y, None)
 
 
 def _heatmap_rows(tau_list, fraction_list, lookup, baseline_value):

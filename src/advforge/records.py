@@ -3,9 +3,9 @@
 ``Record`` gives flat dataclasses one shared ``to_dict``/``from_dict``
 pair.  ``read_jsonl``/``write_jsonl`` are the package's only JSONL reader
 and writer, ``write_csv`` its only CSV writer, and ``list_files`` its only
-directory listing.  ``engine_verdicts`` is the one check of the engine-map
-columns, ``{engine: {"detected": bool, ...}}``, that ``select`` writes and
-``stats`` reads.
+directory listing.  ``engine_verdicts`` is the one check of an engine map,
+``{engine: {"detected": bool, ...}}``: the columns that ``select`` writes
+and ``stats`` reads, and ``MultiEngineReport.engines``.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from pathlib import Path
 from . import features
 from .gbdt import TrainedModel
 from .mutator import DEFAULT_THRESHOLD as DEFAULT_SCORE_THRESHOLD
-from .records import Record, list_files
+from .records import Record, engine_verdicts, list_files
 
 DEFAULT_REPORT_AGE = 30 * 86400.0
 DEFAULT_POLL_INTERVAL = 1.0
@@ -166,7 +166,11 @@ def classify_dir(handle: ScorerHandle, dir_path, parallelism: int = 1):
 
 @dataclass(frozen=True)
 class MultiEngineReport(Record):
-    """Aggregated detection verdicts from a multi-engine analysis."""
+    """Aggregated detection verdicts from a multi-engine analysis.
+
+    ``engines`` maps each engine to an object with a boolean ``detected``,
+    as ``records.engine_verdicts`` checks it; the counts derive from it.
+    """
 
     sha256: str
     fetched_at: float
@@ -176,7 +180,7 @@ class MultiEngineReport(Record):
     top_group_detections: int
 
     def __post_init__(self) -> None:
-        counted = sum(1 for v in self.engines.values() if v.get("detected"))
+        counted = sum(engine_verdicts(self.engines, "engines").values())
         if self.detections != counted:
             raise ValueError("detections must equal the detected==true count")
         if self.top_group_detections > self.detections:
@@ -188,13 +192,12 @@ class MultiEngineReport(Record):
     def from_engines(cls, sha256: str, fetched_at: float, engines: dict,
                      top_group=()) -> "MultiEngineReport":
         """Build a report, deriving the counts from the engine map."""
+        verdicts = engine_verdicts(engines, "engines")
         top = set(top_group)
-        detections = sum(1 for v in engines.values() if v.get("detected"))
-        top_hits = sum(
-            1 for name, v in engines.items() if v.get("detected") and name in top
-        )
+        top_hits = sum(hit for name, hit in verdicts.items() if name in top)
         return cls(sha256=sha256, fetched_at=fetched_at, engines=dict(engines),
-                   total_engines=len(engines), detections=detections,
+                   total_engines=len(engines),
+                   detections=sum(verdicts.values()),
                    top_group_detections=top_hits)
 
 
@@ -269,7 +272,14 @@ class QuotaState:
 
     @classmethod
     def load(cls, path) -> "QuotaState":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read a saved state; a file that is not one raises
+        MalformedResponseError naming it."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except (ValueError, KeyError, TypeError, AttributeError,
+                MalformedResponseError) as exc:
+            raise MalformedResponseError(
+                f"bad quota state {path}: {exc}") from exc
 
 
 class VerdictService:

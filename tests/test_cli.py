@@ -562,6 +562,27 @@ class TestVerdictsCommand:
                          "--in", str(tmp_path / "in")]) == 1
         assert "gone.bin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("state", [
+        "{not json",
+        json.dumps({"v": 1, "day": "2026-01-01", "used_today": 0,
+                    "daily_limit": 5, "pending": [],
+                    "completed": {"ab": {"sha256": "ab", "fetched_at": 1.0,
+                                         "engines": {"e": 1},
+                                         "total_engines": 1, "detections": 1,
+                                         "top_group_detections": 0}}})],
+        ids=["not-json", "engine-entry-not-object"])
+    def test_corrupt_state_file_exits_1_naming_it(self, tmp_path, capsys,
+                                                   state):
+        make_corpus(tmp_path / "in", 1)
+        state_path = tmp_path / "quota.json"
+        state_path.write_text(state)
+        cfg = write_config(tmp_path / "c.json", {"quota": {
+            "daily_limit": 5, "state_path": str(state_path),
+            "service": "cli_service:make_service", "poll_interval": 0.01}})
+        assert dispatch(["--config", cfg, "verdicts",
+                         "--in", str(tmp_path / "in")]) == 1
+        assert str(state_path) in capsys.readouterr().err
+
     def test_missing_service_is_exit_2(self, tmp_path, capsys):
         make_corpus(tmp_path / "in", 1)
         cfg = write_config(tmp_path / "c.json", {"quota": {
@@ -789,6 +810,14 @@ class TestStatsCommand:
     def test_malformed_rows_exit_2(self, tmp_path, capsys, row):
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text(json.dumps(row))
+        assert dispatch(["stats", "--pairs", str(pairs),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "bad stats input" in capsys.readouterr().err
+
+    def test_non_json_line_exits_2(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"orig_score": 0.9, "adv_score": 0.1})
+                         + "\n{not json\n")
         assert dispatch(["stats", "--pairs", str(pairs),
                          "--out", str(tmp_path / "out")]) == 2
         assert "bad stats input" in capsys.readouterr().err

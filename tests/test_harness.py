@@ -211,6 +211,17 @@ class TestRun:
         for started, killed in zip(launches, kills):
             assert WINDOW - 1e-6 <= killed - started <= WINDOW + 2 * poll + 1.0
 
+    def test_finished_worker_noticed_within_a_tick(self, tmp_path,
+                                                   worker_script):
+        # a finished worker is noticed within a tick, whatever the window
+        make_corpus(tmp_path / "in", 2)
+        manifest = harness.split_dataset(tmp_path / "in", 2)
+        summary = harness.run(
+            small_config(worker_script, chunk_count=2, stale_window=60.0),
+            manifest, tmp_path / "work")
+        assert set(summary.chunk_states.values()) == {"done"}
+        assert summary.wall_time < 3.0
+
     def test_discarded_chunk_excluded_from_merge(self, tmp_path, worker_script):
         make_corpus(tmp_path / "in", 6)
         (tmp_path / "in" / "a_hang.bin").write_bytes(
@@ -401,8 +412,8 @@ class TestMerge:
 class TestStatusTable:
     def test_render_is_pure_and_stable(self):
         statuses = {
-            0: harness.WorkerStatus(0, "done", 0, 100.0, 90.0),
-            1: harness.WorkerStatus(1, "running", 1, 104.0, 95.0),
+            0: harness.WorkerStatus(0, "done", 0, 100.0),
+            1: harness.WorkerStatus(1, "running", 1, 104.0),
             2: harness.WorkerStatus(2, "pending"),
         }
         before = copy.deepcopy(statuses)
