@@ -42,6 +42,8 @@ class ScorerConfig(Record):
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
+        if self.timeout_ms <= 0:
+            raise ValueError("timeout_ms must be positive")
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,10 @@ class QuotaConfig(Record):
     service: str | None = None
     max_report_age: float = scoring.DEFAULT_REPORT_AGE
     poll_interval: float = scoring.DEFAULT_POLL_INTERVAL
+
+    def __post_init__(self) -> None:
+        if self.daily_limit is not None and self.daily_limit < 0:
+            raise ValueError("daily_limit must be non-negative")
 
 
 _SECTIONS = {"selection": selector.SelectionConstants,
@@ -229,10 +235,7 @@ def cmd_validate(args, config: GlobalConfig) -> int:
             failures += 1
             continue
         report = pe.validate(data)
-        rows.append({"path": str(path), "sha256": report.sha256,
-                     "file_size": report.file_size,
-                     "is_valid_pe": report.is_valid_pe,
-                     "reasons": list(report.reasons)})
+        rows.append({"path": str(path), **report.to_dict()})
     if args.out:
         write_jsonl(Path(args.out) / "reports.jsonl", rows)
     else:

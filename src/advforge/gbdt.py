@@ -221,16 +221,21 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path) -> "TrainedModel":
-        blob = json.loads(pathlib.Path(path).read_text())
-        return cls(
-            trees=tuple(Tree.from_lists(t) for t in blob["trees"]),
-            base_score=blob["base_score"],
-            learning_rate=blob["learning_rate"],
-            feature_dim=blob["feature_dim"],
-            decision_threshold=blob["decision_threshold"],
-            degenerate=blob["degenerate"],
-            train_loss_trace=tuple(blob["train_loss_trace"]),
-        )
+        """Read a saved model; a file that is not one raises GbdtError
+        naming it."""
+        try:
+            blob = json.loads(pathlib.Path(path).read_text())
+            return cls(
+                trees=tuple(Tree.from_lists(t) for t in blob["trees"]),
+                base_score=blob["base_score"],
+                learning_rate=blob["learning_rate"],
+                feature_dim=blob["feature_dim"],
+                decision_threshold=blob["decision_threshold"],
+                degenerate=blob["degenerate"],
+                train_loss_trace=tuple(blob["train_loss_trace"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GbdtError(f"bad model file {path}: {exc}") from exc
 
 
 def _sigmoid(raw: np.ndarray) -> np.ndarray:

@@ -10,23 +10,26 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import pe
 from .records import list_files
 
-ACTION_KINDS = (
-    "overlay_append",
-    "section_add",
-    "section_rename",
-    "checksum_zero",
-    "cert_wipe",
-    "debug_wipe",
-    "timestamp_adjust",
-    "dos_stub_extend",
-)
+# The fields each action kind takes, in serialized order.  ACTION_KINDS
+# keeps this order: _sample_action indexes it with the campaign RNG.
+ACTION_FIELDS = {
+    "overlay_append": ("content_len", "source"),
+    "section_add": ("content_len", "source", "name"),
+    "section_rename": ("name", "index"),
+    "checksum_zero": (),
+    "cert_wipe": (),
+    "debug_wipe": (),
+    "timestamp_adjust": ("delta",),
+    "dos_stub_extend": ("content_len", "source"),
+}
+ACTION_KINDS = tuple(ACTION_FIELDS)
 
 CONTENT_SOURCES = ("random", "benign-pool")
 
@@ -68,8 +71,9 @@ class InvalidInput(MutatorError):
 class MutationAction:
     """One structural edit, tagged by ``kind``.
 
-    Only the fields relevant to the kind are meaningful; the rest stay at
-    their defaults so actions serialize to flat dicts.
+    A kind takes the fields ``ACTION_FIELDS`` lists for it.  Every other
+    field must stay at its default, so an action serializes to its kind
+    plus those fields, and a dict carrying any other field is rejected.
     """
 
     kind: str
@@ -80,36 +84,34 @@ class MutationAction:
     delta: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ACTION_KINDS:
+        taken = ACTION_FIELDS.get(self.kind)
+        if taken is None:
             raise ValueError(f"unknown action kind {self.kind!r}")
+        for name, default in _FIELD_DEFAULTS.items():
+            if name not in taken and getattr(self, name) != default:
+                raise ValueError(f"{self.kind} takes no {name}")
         if self.source not in CONTENT_SOURCES:
             raise ValueError(f"unknown content source {self.source!r}")
-        if self.kind in ("overlay_append", "section_add", "dos_stub_extend"):
-            if self.content_len < 1:
-                raise ValueError("content_len must be >= 1")
-        if self.kind in ("section_add", "section_rename"):
-            encoded = self.name.encode("ascii")
-            if not 0 < len(encoded) <= 8:
-                raise ValueError("section name must be 1..8 ASCII bytes")
+        if "content_len" in taken and self.content_len < 1:
+            raise ValueError("content_len must be >= 1")
+        if "name" in taken and not 0 < len(self.name.encode("ascii")) <= 8:
+            raise ValueError("section name must be 1..8 ASCII bytes")
         if self.index < 0:
             raise ValueError("index must be non-negative")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
-        if self.kind in ("overlay_append", "section_add", "dos_stub_extend"):
-            out["content_len"] = self.content_len
-            out["source"] = self.source
-        if self.kind in ("section_add", "section_rename"):
-            out["name"] = self.name
-        if self.kind == "section_rename":
-            out["index"] = self.index
-        if self.kind == "timestamp_adjust":
-            out["delta"] = self.delta
+        for name in ACTION_FIELDS[self.kind]:
+            out[name] = getattr(self, name)
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "MutationAction":
         return cls(**data)
+
+
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(MutationAction)
+                   if f.name != "kind"}
 
 
 @dataclass(frozen=True)
@@ -222,9 +224,9 @@ def apply_action(
 ) -> pe.PeImage:
     """Return a copy of ``image`` with one action applied.
 
-    Raises InvalidTarget when the action does not fit this image and
-    pe.LayoutOverflow when structural growth would collide with existing
-    section data.
+    Raises InvalidTarget when the action does not fit this image.  Growth
+    that pushes the headers into section data is left to the serializer:
+    ``pe.serialize`` of the returned image raises pe.LayoutOverflow.
     """
     rng = np.random.default_rng(rng_seed)
     kind = action.kind
@@ -236,14 +238,7 @@ def apply_action(
     if kind == "section_add":
         file_align = image.optional.file_alignment or 512
         sect_align = image.optional.section_alignment or 4096
-        new_table_end = image.section_table_offset + pe.SECTION_ENTRY_SIZE * (
-            len(image.sections) + 1
-        )
-        for s in image.sections:
-            if s.raw_offset and s.raw_offset < new_table_end:
-                raise pe.LayoutOverflow(
-                    "no room to grow the section table past existing data"
-                )
+        new_table_end = image.section_table_end + pe.SECTION_ENTRY_SIZE
         content = _generate_content(action.content_len, action.source, rng, pool)
         raw_size = _align(len(content), file_align)
         raw_offset = _align(max(image.overlay_offset, new_table_end), file_align)
@@ -282,7 +277,7 @@ def apply_action(
             + (renamed,)
             + image.sections[action.index + 1 :]
         )
-        return image.with_sections(sections)
+        return replace(image, sections=sections)
 
     if kind == "checksum_zero":
         optional = image.optional.copy()
@@ -304,18 +299,6 @@ def apply_action(
     if kind == "dos_stub_extend":
         content = _generate_content(action.content_len, action.source, rng, pool)
         new_dos = bytearray(image.dos_header + content)
-        new_table_end = (
-            len(new_dos)
-            + 4
-            + pe.COFF_SIZE
-            + image.coff.optional_header_size
-            + pe.SECTION_ENTRY_SIZE * len(image.sections)
-        )
-        for s in image.sections:
-            if s.raw_offset and s.raw_offset < new_table_end:
-                raise pe.LayoutOverflow(
-                    "stub growth would push headers into section data"
-                )
         struct.pack_into("<I", new_dos, pe.E_LFANEW_OFFSET, len(new_dos))
         return replace(image, dos_header=bytes(new_dos))
 
@@ -350,21 +333,15 @@ def _sample_action(
     )
     length = min(max(length, MIN_CONTENT_LEN), MAX_CONTENT_LEN)
     source = "benign-pool" if has_pool and rng.random() < 0.5 else "random"
-    name = SECTION_NAMES[int(rng.integers(len(SECTION_NAMES)))]
-
-    if kind == "overlay_append":
-        return MutationAction(kind, content_len=length, source=source)
-    if kind == "section_add":
-        return MutationAction(kind, content_len=length, source=source, name=name)
-    if kind == "section_rename":
-        index = int(rng.integers(max(1, len(image.sections))))
-        return MutationAction(kind, index=index, name=name)
-    if kind == "timestamp_adjust":
-        delta = int(rng.integers(-MAX_TIMESTAMP_DELTA, MAX_TIMESTAMP_DELTA + 1))
-        return MutationAction(kind, delta=delta)
-    if kind == "dos_stub_extend":
-        return MutationAction(kind, content_len=length, source=source)
-    return MutationAction(kind)
+    drawn = {"content_len": length, "source": source,
+             "name": SECTION_NAMES[int(rng.integers(len(SECTION_NAMES)))]}
+    taken = ACTION_FIELDS[kind]
+    if "index" in taken:
+        drawn["index"] = int(rng.integers(max(1, len(image.sections))))
+    if "delta" in taken:
+        drawn["delta"] = int(
+            rng.integers(-MAX_TIMESTAMP_DELTA, MAX_TIMESTAMP_DELTA + 1))
+    return MutationAction(kind, **{name: drawn[name] for name in taken})
 
 
 def run_campaign(

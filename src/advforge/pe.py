@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+
+from .records import Record
 
 DOS_MAGIC = b"MZ"
 PE_SIGNATURE = b"PE\x00\x00"
@@ -169,10 +171,6 @@ class OptionalHeader:
         self._put_u32(56, value)
 
     @property
-    def size_of_headers(self) -> int:
-        return self._u32(60)
-
-    @property
     def checksum(self) -> int:
         return self._u32(64)
 
@@ -220,9 +218,6 @@ class OptionalHeader:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, OptionalHeader) and self.raw == other.raw
-
-    def __len__(self) -> int:
-        return len(self.raw)
 
 
 @dataclass(frozen=True)
@@ -274,16 +269,13 @@ class PeImage:
             end = max(end, s.file_end)
         return end
 
-    def with_sections(self, sections: tuple[SectionEntry, ...]) -> "PeImage":
-        return replace(self, sections=sections)
-
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
+    sha256: str
+    file_size: int
     is_valid_pe: bool
     reasons: tuple[str, ...]
-    file_size: int
-    sha256: str
 
 
 def parse(data: bytes) -> PeImage:
@@ -390,16 +382,20 @@ def validate(data: bytes) -> ValidationReport:
     except PeError as exc:
         reasons = (exc.args[0],)
     return ValidationReport(
+        sha256=hashlib.sha256(data).hexdigest(),
+        file_size=len(data),
         is_valid_pe=not reasons,
         reasons=reasons,
-        file_size=len(data),
-        sha256=hashlib.sha256(data).hexdigest(),
     )
 
 
 def serialize(image: PeImage) -> bytes:
     """Re-serialize an image. Byte-lossless for unmodified parses; raises
-    :class:`LayoutOverflow` when contents no longer fit their field widths."""
+    :class:`LayoutOverflow` when contents no longer fit their field widths
+    or the headers reach into a section's raw data.  This is the one check
+    of header growth, so a mutated image is known to fit only once it
+    serializes.  A section without raw data (zero size or zero offset)
+    holds no bytes and never blocks growth."""
     if len(image.sections) > U16_MAX:
         raise LayoutOverflow("section count exceeds u16")
     if image.e_lfanew > U32_MAX:

@@ -148,6 +148,40 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, message", [
+        ({"scorer": {"kind": "http", "endpoint": "http://localhost:1",
+                     "timeout_ms": 0}}, "timeout_ms"),
+        ({"quota": {"daily_limit": -1, "state_path": "q.json"}},
+         "daily_limit"),
+    ])
+    def test_out_of_range_section_is_exit_2(self, tmp_path, capsys,
+                                            section, message):
+        make_corpus(tmp_path / "in", 1)
+        cfg = write_config(tmp_path / "c.json", section)
+        assert dispatch(["--config", cfg, "validate",
+                         str(tmp_path / "in")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["score", "--in", "{in}"],
+        ["mutate", "--in", "{in}", "--out", "{out}"],
+        ["poison", "cross-eval", "--model", "{model}", "--data", "{in}"],
+    ])
+    @pytest.mark.parametrize("blob", ["{}", "{not json", "[1]"])
+    def test_bad_model_file_exits_1_naming_it(self, tmp_path, capsys, argv,
+                                              blob):
+        make_corpus(tmp_path / "in", 1)
+        model = tmp_path / "model.json"
+        model.write_text(blob)
+        cfg = write_config(tmp_path / "c.json", {
+            "scorer": {"kind": "local", "model_path": str(model)}})
+        paths = {"in": tmp_path / "in", "out": tmp_path / "out",
+                 "model": model}
+        code = dispatch(["--config", cfg]
+                        + [arg.format(**paths) for arg in argv])
+        assert code == 1
+        assert f"bad model file {model}" in capsys.readouterr().err
+
 
 TRAIN_GBDT = {"max_rounds": 5, "num_leaves": 4, "min_data_in_leaf": 2,
               "early_stop_rounds": 0}
@@ -248,6 +282,8 @@ class TestValidate:
         assert len(rows) == 3
         assert all(r["is_valid_pe"] for r in rows)
         assert all(len(r["sha256"]) == 64 for r in rows)
+        assert list(rows[0]) == ["path", "sha256", "file_size",
+                                 "is_valid_pe", "reasons"]
 
     def test_invalid_pe_still_exit_zero(self, tmp_path, capsys):
         make_corpus(tmp_path / "in", 1)

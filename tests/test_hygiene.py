@@ -54,6 +54,20 @@ def module_definitions(source: str) -> list:
     return names
 
 
+def class_members(source: str) -> list:
+    """``Class.name`` for each method or property that a module's
+    top-level classes define; dunder methods are left out."""
+    members = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            members += [f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))]
+    return members
+
+
 def referenced_names(source: str) -> set:
     """Every name a source reads, as a bare name, an attribute or an
     imported name; a definition alone is no reference."""
@@ -68,12 +82,15 @@ def referenced_names(source: str) -> set:
     return names
 
 
-def dead_names(modules: dict, callers) -> list:
-    """``module.name`` for each top-level name of ``modules`` (stem ->
-    source) that no source in ``callers`` references."""
+def dead_names(modules: dict, callers, definitions=module_definitions
+               ) -> list:
+    """``module.name`` for each name that ``definitions`` finds in
+    ``modules`` (stem -> source) and no source in ``callers`` references;
+    a ``Class.name`` is referenced by its last part."""
     used = set().union(*map(referenced_names, callers))
     return [f"{stem}.{name}" for stem, source in sorted(modules.items())
-            for name in module_definitions(source) if name not in used]
+            for name in definitions(source)
+            if name.rsplit(".", 1)[-1] not in used]
 
 
 def test_dead_names_checker_sees_them():
@@ -84,16 +101,30 @@ def test_dead_names_checker_sees_them():
                       ) == ["m.Unused", "m.STALE"]
 
 
-def package_dead_names(caller_dirs) -> list:
+def test_class_members_checker_sees_them():
+    module = ("class A:\n    def __len__(self): return 0\n"
+              "    @property\n    def stale(self): return 1\n"
+              "    def used(self): return self._helper()\n"
+              "    def _helper(self): return 2\n")
+    assert class_members(module) == ["A.stale", "A.used", "A._helper"]
+    assert dead_names({"m": module}, [module, "A().used()\n"],
+                      class_members) == ["m.A.stale"]
+
+
+def package_dead_names(caller_dirs, definitions=module_definitions) -> list:
     modules = {path.stem: path.read_text()
                for path in PACKAGE.glob("*.py")}
     callers = [path.read_text() for folder in caller_dirs
                for path in (ROOT / folder).rglob("*.py")]
-    return dead_names(modules, callers)
+    return dead_names(modules, callers, definitions)
 
 
 def test_every_module_level_name_has_a_caller():
     assert package_dead_names(CALLER_DIRS) == []
+
+
+def test_every_method_and_property_has_a_caller():
+    assert package_dead_names(CALLER_DIRS, class_members) == []
 
 
 def test_names_only_tests_reach_are_frozen():

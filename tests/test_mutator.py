@@ -137,7 +137,14 @@ class TestActions:
         img = pe.parse(data)
         act = MutationAction("dos_stub_extend", content_len=4096)
         with pytest.raises(pe.LayoutOverflow):
-            apply_action(img, act, 0)
+            pe.serialize(apply_action(img, act, 0))
+
+    def test_section_add_no_room(self):
+        # the tight table abuts section data, so one more entry overlaps it
+        img = pe.parse(pe_oracle.build_pe(tight=True))
+        act = MutationAction("section_add", content_len=64, name=".new")
+        with pytest.raises(pe.LayoutOverflow):
+            pe.serialize(apply_action(img, act, 0))
 
     def test_apply_deterministic_in_seed(self):
         img = pe.parse(pe_oracle.build_pe())
@@ -167,6 +174,26 @@ class TestActions:
         ]
         plan = MutationPlan(actions=tuple(acts), rng_seed=77)
         assert MutationPlan.from_dict(plan.to_dict()) == plan
+
+    @pytest.mark.parametrize("kind", mutator.ACTION_KINDS)
+    @pytest.mark.parametrize("has_pool", [False, True])
+    def test_sampled_action_round_trip(self, kind, has_pool):
+        img = pe.parse(pe_oracle.build_pe())
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            act = mutator._sample_action(rng, img, (kind,), has_pool)
+            data = act.to_dict()
+            assert list(data) == ["kind", *mutator.ACTION_FIELDS[kind]]
+            assert MutationAction.from_dict(data) == act
+
+    @pytest.mark.parametrize("kind", mutator.ACTION_KINDS)
+    def test_field_the_kind_does_not_take_rejected(self, kind):
+        extra = {"content_len": 5, "source": "benign-pool", "name": ".x",
+                 "index": 1, "delta": 5}
+        for name, value in extra.items():
+            if name not in mutator.ACTION_FIELDS[kind]:
+                with pytest.raises(ValueError, match=f"takes no {name}"):
+                    MutationAction.from_dict({"kind": kind, name: value})
 
 
 class TestContentPool:

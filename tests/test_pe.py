@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,4 +182,4 @@ class TestSerialize:
             raw_data=sect.raw_data,
         )
         with pytest.raises(pe.LayoutOverflow):
-            pe.serialize(img.with_sections((bad,)))
+            pe.serialize(replace(img, sections=(bad,)))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from advforge import cli, gbdt, harness, poisonlab, records, scoring, selector
+from advforge import (cli, gbdt, harness, pe, poisonlab, records, scoring,
+                      selector)
 
 HARNESS = harness.HarnessConfig(
     worker_command="w {input_dir} {output_dir} {log_file}",
@@ -30,6 +31,7 @@ RECORDS = [
                               submitted_at=5.0),
     scoring.MultiEngineReport.from_engines("cd" * 32, 123.5, ENGINES,
                                            top_group=("a",)),
+    pe.validate(b"MZ"),
     cli.ScorerConfig(kind="http", endpoint="http://127.0.0.1:1/"),
     cli.QuotaConfig(daily_limit=3, state_path="q.json"),
     cli.GlobalConfig(rng_seed=4, harness=HARNESS,
