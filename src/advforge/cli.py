@@ -46,22 +46,9 @@ class ScorerConfig(Record):
             raise ValueError("timeout_ms must be positive")
 
 
-@dataclass(frozen=True)
-class QuotaConfig(Record):
-    daily_limit: int | None = None
-    state_path: str | None = None
-    service: str | None = None
-    max_report_age: float = scoring.DEFAULT_REPORT_AGE
-    poll_interval: float = scoring.DEFAULT_POLL_INTERVAL
-
-    def __post_init__(self) -> None:
-        if self.daily_limit is not None and self.daily_limit < 0:
-            raise ValueError("daily_limit must be non-negative")
-
-
 _SECTIONS = {"selection": selector.SelectionConstants,
              "harness": harness.HarnessConfig, "scorer": ScorerConfig,
-             "quota": QuotaConfig, "gbdt": gbdt.Hyperparams}
+             "quota": scoring.QuotaConfig, "gbdt": gbdt.Hyperparams}
 _OPTIONAL_SECTIONS = ("harness", "scorer", "quota")
 
 
@@ -72,7 +59,7 @@ class GlobalConfig(Record):
         default_factory=selector.SelectionConstants)
     harness: harness.HarnessConfig | None = None
     scorer: ScorerConfig | None = None
-    quota: QuotaConfig | None = None
+    quota: scoring.QuotaConfig | None = None
     gbdt: gbdt.Hyperparams = field(default_factory=gbdt.Hyperparams)
 
     def __post_init__(self) -> None:
@@ -348,18 +335,8 @@ def cmd_verdicts(args, config: GlobalConfig) -> int:
     if section.state_path is None or section.daily_limit is None:
         raise ConfigError("quota config needs state_path and daily_limit")
     service = _load_service(spec)
-    state_path = section.state_path
-    if Path(state_path).exists():
-        state = scoring.QuotaState.load(state_path)
-    else:
-        state = scoring.QuotaState.new(int(section.daily_limit))
-        state.save(state_path)
-    vconfig = scoring.VerdictConfig(
-        service=service, state_path=state_path,
-        max_report_age=section.max_report_age,
-        poll_interval=section.poll_interval)
     files = _input_files(args.input_dir)
-    state = scoring.verdicts_submit_poll(state, files, vconfig)
+    state = scoring.verdicts_submit_poll(files, section, service)
     print(json.dumps({"used_today": state.used_today,
                       "pending": len(state.pending),
                       "completed": len(state.completed)}))

@@ -70,6 +70,10 @@ class Hyperparams(Record):
             raise ValueError("min_data_in_leaf must be >= 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        if self.bagging_freq < 1:
+            raise ValueError("bagging_freq must be >= 1")
+        if self.l2_lambda < 0:
+            raise ValueError("l2_lambda must be non-negative")
 
 
 @dataclass(frozen=True)

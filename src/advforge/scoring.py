@@ -4,8 +4,10 @@ Two scorer kinds share one interface: a local GBDT model fed by the static
 featurizer, and a remote HTTP classifier speaking a tiny JSON protocol
 (POST raw bytes to the endpoint, read back ``{"score": <float>}``).  On top
 of that sits a verdict client that submits samples to a multi-engine
-analysis service under a daily quota, persisting its state after every
-transition so a multi-day run survives process restarts.
+analysis service under a daily quota.  The ``quota`` config section
+(``QuotaConfig``) is its one configuration: the client loads, limits and
+saves its state file itself, only while it holds the file's lock, and
+persists every transition so a multi-day run survives process restarts.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .gbdt import TrainedModel
 from .mutator import DEFAULT_THRESHOLD as DEFAULT_SCORE_THRESHOLD
 from .records import Record, engine_verdicts, list_files
 
-DEFAULT_REPORT_AGE = 30 * 86400.0
-DEFAULT_POLL_INTERVAL = 1.0
 DEFAULT_TIMEOUT_MS = 10_000
+RETRIES = 3
+RETRY_DELAY = 0.5
 
 
 class ScoringError(Exception):
@@ -229,8 +231,6 @@ class QuotaState:
     def validate(self) -> None:
         if self.used_today < 0 or self.daily_limit < 0:
             raise ValueError("quota counters must be non-negative")
-        if self.used_today > self.daily_limit:
-            raise ValueError("used_today exceeds daily_limit")
         shas = [p.sha256 for p in self.pending]
         if len(shas) != len(set(shas)):
             raise ValueError("pending entries must be unique by sha256")
@@ -302,16 +302,25 @@ class VerdictService:
         raise NotImplementedError
 
 
-@dataclass
-class VerdictConfig:
-    service: VerdictService
-    state_path: str
-    max_report_age: float = DEFAULT_REPORT_AGE
-    poll_interval: float = DEFAULT_POLL_INTERVAL
-    retries: int = 3
-    retry_delay: float = 0.5
-    clock: object = time.time
-    sleep: object = time.sleep
+@dataclass(frozen=True)
+class QuotaConfig(Record):
+    """The ``quota`` config section, the verdict client's settings.
+
+    ``daily_limit`` and ``state_path`` have no default; ``verdicts`` needs
+    both.  ``service`` is the ``module:factory`` of the verdict backend.
+    """
+
+    daily_limit: int | None = None
+    state_path: str | None = None
+    service: str | None = None
+    max_report_age: float = 30 * 86400.0
+    poll_interval: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.daily_limit is not None and self.daily_limit < 0:
+            raise ValueError("daily_limit must be non-negative")
+        if self.poll_interval < 0:
+            raise ValueError("poll_interval must be non-negative")
 
 
 @contextmanager
@@ -327,89 +336,95 @@ def _state_lock(lock_path: str):
         os.close(fd)
 
 
-def _retry_transport(fn, config: VerdictConfig):
+def _retry_transport(fn, sleep):
     """Run fn, retrying TransportError with exponential backoff."""
-    for attempt in range(config.retries + 1):
+    for attempt in range(RETRIES + 1):
         try:
             return fn()
         except TransportError:
-            if attempt == config.retries:
+            if attempt == RETRIES:
                 raise
-            config.sleep(config.retry_delay * (2 ** attempt))
+            sleep(RETRY_DELAY * (2 ** attempt))
 
 
-def _is_fresh(report, config: VerdictConfig) -> bool:
-    if report is None:
-        return False
-    return (config.clock() - report.fetched_at) < config.max_report_age
-
-
-def _roll_day(state: QuotaState, config: VerdictConfig, persist) -> None:
-    today = _utc_day(config.clock())
+def _roll_day(state: QuotaState, now: float, persist) -> None:
+    today = _utc_day(now)
     if state.day != today:
         state.day = today
         state.used_today = 0
         persist()
 
 
-def verdicts_submit_poll(state: QuotaState, files, config: VerdictConfig) -> QuotaState:
+def verdicts_submit_poll(files, quota: QuotaConfig, service: VerdictService,
+                         clock=time.time, sleep=time.sleep) -> QuotaState:
     """Resolve verdicts for files: reuse fresh reports, submit under quota, poll.
 
-    Fresh cached reports cost nothing.  Unknown samples are looked up first;
-    only misses consume quota.  Submissions stop at the daily limit and the
-    remainder simply waits for a later call.  State hits disk after every
-    transition, so a killed process resumes without losing or repeating work.
+    Holding the lock ``quota.state_path + ".lock"``, load the state (or
+    start and save it) and apply ``quota.daily_limit``, saved when that
+    changes it: a limit at or below ``used_today`` submits nothing more
+    until the next UTC day.  Fresh cached reports cost nothing; unknown
+    samples are looked up first, and only misses consume quota.  State
+    hits disk after every transition, so a killed process resumes without
+    losing or repeating work.
     """
-    lock_path = str(config.state_path) + ".lock"
-    with _state_lock(lock_path):
-        return _submit_poll_locked(state, files, config)
+    path = Path(quota.state_path)
+    limit = int(quota.daily_limit)
 
-
-def _submit_poll_locked(state, files, config):
     def persist():
-        state.save(config.state_path)
+        state.save(path)
 
-    _roll_day(state, config, persist)
-    pending_shas = {p.sha256 for p in state.pending}
+    def is_fresh(report) -> bool:
+        return (report is not None
+                and clock() - report.fetched_at < quota.max_report_age)
 
-    for path in files:
-        data = Path(path).read_bytes()
-        sha = hashlib.sha256(data).hexdigest()
-        if sha in pending_shas:
-            continue
-        if _is_fresh(state.completed.get(sha), config):
-            continue
-        report = _retry_transport(lambda: config.service.lookup(sha), config)
-        if _is_fresh(report, config):
-            state.completed[sha] = report
+    with _state_lock(str(path) + ".lock"):
+        if path.exists():
+            state = QuotaState.load(path)
+        else:
+            state = QuotaState.new(limit, now=clock())
             persist()
-            continue
-        _roll_day(state, config, persist)
-        if state.used_today >= state.daily_limit:
-            continue
-        try:
-            analysis_id = _retry_transport(
-                lambda: config.service.submit(sha, data), config)
-        except QuotaExceededError:
-            break
-        state.pending.append(PendingSubmission(
-            sha256=sha, analysis_id=analysis_id, submitted_at=config.clock()))
-        pending_shas.add(sha)
-        state.used_today += 1
-        persist()
+        if state.daily_limit != limit:
+            state.daily_limit = limit
+            persist()
+        _roll_day(state, clock(), persist)
+        pending_shas = {p.sha256 for p in state.pending}
 
-    while state.pending:
-        progressed = False
-        for entry in list(state.pending):
-            report = _retry_transport(
-                lambda: config.service.poll(entry.analysis_id), config)
-            if report is not None:
-                state.completed[entry.sha256] = report
-                state.pending.remove(entry)
+        for file in files:
+            data = Path(file).read_bytes()
+            sha = hashlib.sha256(data).hexdigest()
+            if sha in pending_shas or is_fresh(state.completed.get(sha)):
+                continue
+            report = _retry_transport(lambda: service.lookup(sha), sleep)
+            if is_fresh(report):
+                state.completed[sha] = report
                 persist()
-                progressed = True
-        if not state.pending:
-            break
-        if not progressed:
-            config.sleep(config.poll_interval)
-    return state
+                continue
+            _roll_day(state, clock(), persist)
+            if state.used_today >= state.daily_limit:
+                continue
+            try:
+                analysis_id = _retry_transport(
+                    lambda: service.submit(sha, data), sleep)
+            except QuotaExceededError:
+                break
+            state.pending.append(PendingSubmission(
+                sha256=sha, analysis_id=analysis_id, submitted_at=clock()))
+            pending_shas.add(sha)
+            state.used_today += 1
+            persist()
+
+        while state.pending:
+            progressed = False
+            for entry in list(state.pending):
+                report = _retry_transport(
+                    lambda: service.poll(entry.analysis_id), sleep)
+                if report is not None:
+                    state.completed[entry.sha256] = report
+                    state.pending.remove(entry)
+                    persist()
+                    progressed = True
+            if not state.pending:
+                break
+            if not progressed:
+                sleep(quota.poll_interval)
+        return state

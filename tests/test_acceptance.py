@@ -262,19 +262,18 @@ def test_quota_client_three_day_audit(verdict, tmp_path):
     state.save(state_path)
 
     day_counts = []
-    config, _ = make_config(service, state_path, clock)
+    client, _ = make_config(service, state_path, clock, limit)
     with pytest.raises(SimulatedCrash):
-        scoring.verdicts_submit_poll(state, files, config)
+        client(files)
     state = scoring.QuotaState.load(state_path)
     survived_kill = state.used_today == 2 and len(state.pending) == 2
 
     service.crash_on_submit = None
-    config, _ = make_config(service, state_path, clock)
-    state = scoring.verdicts_submit_poll(state, files, config)
+    state = client(files)
     day_counts.append(len(service.submit_calls))
     for _ in range(2):
         clock.advance_days(1)
-        state = scoring.verdicts_submit_poll(state, files, config)
+        state = client(files)
         day_counts.append(len(service.submit_calls))
 
     per_day = [day_counts[0]] + [b - a for a, b in zip(day_counts,

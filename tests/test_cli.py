@@ -3,12 +3,15 @@
 import hashlib
 import json
 import textwrap
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from advforge import cli, features, gbdt, selector
+import cli_service
+from advforge import cli, features, gbdt, scoring, selector
 from advforge.cli import dispatch
 from advforge.records import read_jsonl
 from alg1_oracle import alg1_reference
@@ -153,6 +156,11 @@ class TestExitCodes:
                      "timeout_ms": 0}}, "timeout_ms"),
         ({"quota": {"daily_limit": -1, "state_path": "q.json"}},
          "daily_limit"),
+        ({"gbdt": {"bagging_freq": 0, "bagging_fraction": 0.5}},
+         "bagging_freq"),
+        ({"gbdt": {"l2_lambda": -1.0}}, "l2_lambda"),
+        ({"quota": {"daily_limit": 1, "state_path": "q.json",
+                    "poll_interval": -1.0}}, "poll_interval"),
     ])
     def test_out_of_range_section_is_exit_2(self, tmp_path, capsys,
                                             section, message):
@@ -618,6 +626,62 @@ class TestVerdictsCommand:
         assert dispatch(["--config", cfg, "verdicts",
                          "--in", str(tmp_path / "in")]) == 1
         assert str(state_path) in capsys.readouterr().err
+
+    @staticmethod
+    def run_verdicts(tmp_path, input_dir, daily_limit):
+        cfg = write_config(tmp_path / "c.json", {"quota": {
+            "daily_limit": daily_limit,
+            "state_path": str(tmp_path / "quota.json"),
+            "service": "cli_service:make_service", "poll_interval": 0.01}})
+        assert dispatch(["--config", cfg, "verdicts",
+                         "--in", str(input_dir)]) == 0
+        return json.loads((tmp_path / "quota.json").read_text())
+
+    def test_lowered_limit_stops_submissions_today(self, tmp_path):
+        make_corpus(tmp_path / "first", 3)
+        self.run_verdicts(tmp_path, tmp_path / "first", 10)
+        second = tmp_path / "second"
+        second.mkdir()
+        for i in range(4):
+            (second / f"n{i}.bin").write_bytes(
+                build_pe([(b".text", bytes([90 + i]) * 700, 0x60000020)]))
+        state = self.run_verdicts(tmp_path, second, 1)
+        assert (state["used_today"], state["daily_limit"]) == (3, 1)
+        assert len(state["completed"]) == 3
+
+    def test_raised_limit_allows_the_difference(self, tmp_path):
+        make_corpus(tmp_path / "in", 4)
+        state = self.run_verdicts(tmp_path, tmp_path / "in", 1)
+        assert (state["used_today"], state["daily_limit"]) == (1, 1)
+        state = self.run_verdicts(tmp_path, tmp_path / "in", 3)
+        assert (state["used_today"], state["daily_limit"]) == (3, 3)
+        assert len(state["completed"]) == 3
+
+    def test_state_is_read_under_the_lock(self, tmp_path, monkeypatch):
+        """A run that finishes the sample just before this one takes the
+        lock is seen: nothing is resubmitted and its count stays."""
+        (sample,) = make_corpus(tmp_path / "in", 1)
+        sha = hashlib.sha256(sample.read_bytes()).hexdigest()
+        state_path = tmp_path / "quota.json"
+        other = scoring.QuotaState.new(5)
+        other.used_today = 2
+        other.completed[sha] = scoring.MultiEngineReport.from_engines(
+            sha, time.time(), {"alpha": {"detected": True}})
+        real_lock = scoring._state_lock
+
+        @contextmanager
+        def racing_lock(lock_path):
+            other.save(state_path)
+            with real_lock(lock_path):
+                yield
+
+        service = cli_service.InstantService()
+        monkeypatch.setattr(cli_service, "make_service", lambda: service)
+        monkeypatch.setattr(scoring, "_state_lock", racing_lock)
+        state = self.run_verdicts(tmp_path, tmp_path / "in", 5)
+        assert service.submitted == {}
+        assert state["used_today"] == 2
+        assert list(state["completed"]) == [sha]
 
     def test_missing_service_is_exit_2(self, tmp_path, capsys):
         make_corpus(tmp_path / "in", 1)

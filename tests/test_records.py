@@ -33,10 +33,10 @@ RECORDS = [
                                            top_group=("a",)),
     pe.validate(b"MZ"),
     cli.ScorerConfig(kind="http", endpoint="http://127.0.0.1:1/"),
-    cli.QuotaConfig(daily_limit=3, state_path="q.json"),
+    scoring.QuotaConfig(daily_limit=3, state_path="q.json"),
     cli.GlobalConfig(rng_seed=4, harness=HARNESS,
                      scorer=cli.ScorerConfig(kind="local", model_path="m"),
-                     quota=cli.QuotaConfig(daily_limit=3, state_path="q")),
+                     quota=scoring.QuotaConfig(daily_limit=3, state_path="q")),
 ]
 IDS = [type(r).__name__ for r in RECORDS]
 

@@ -1,6 +1,7 @@
 """Tests for local/HTTP scoring and the quota-limited verdict client."""
 
 import fcntl
+import functools
 import hashlib
 import json
 import math
@@ -14,9 +15,9 @@ from advforge.gbdt import Hyperparams, TrainedModel, train
 from advforge.scoring import (
     MultiEngineReport,
     PendingSubmission,
+    QuotaConfig,
     QuotaState,
     ScorerHandle,
-    VerdictConfig,
     classify_dir,
     score,
     verdicts_submit_poll,
@@ -269,13 +270,16 @@ def sha_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def make_config(service, state_path, clock, **kw):
+def make_config(service, state_path, clock, daily_limit):
+    """The verdict client over one quota section, bound to a fake clock and
+    a sleep that records its delays: returns ``(client, slept)``, where
+    ``client(files)`` runs ``verdicts_submit_poll``."""
     slept = []
-    defaults = dict(service=service, state_path=str(state_path),
-                    poll_interval=0.01, retry_delay=0.01,
-                    clock=clock, sleep=slept.append)
-    defaults.update(kw)
-    return VerdictConfig(**defaults), slept
+    quota = QuotaConfig(daily_limit=daily_limit, state_path=str(state_path),
+                        poll_interval=0.01)
+    return functools.partial(verdicts_submit_poll, quota=quota,
+                             service=service, clock=clock,
+                             sleep=slept.append), slept
 
 
 class TestQuotaState:
@@ -298,7 +302,7 @@ class TestQuotaState:
 
     def test_invariants(self):
         with pytest.raises(ValueError):
-            QuotaState(day="2026-01-01", used_today=5, daily_limit=2)
+            QuotaState(day="2026-01-01", used_today=-1, daily_limit=2)
         with pytest.raises(ValueError):
             QuotaState(day="2026-01-01", used_today=0, daily_limit=2,
                        pending=[PendingSubmission("a", "1", 0.0),
@@ -310,11 +314,13 @@ class TestVerdictClient:
         clock = FakeClock()
         files = write_samples(tmp_path, 3)
         service = ScriptedService()
+        state_path = tmp_path / "state.json"
         state = QuotaState.new(daily_limit=10, now=clock())
         for p in files:
             state.completed[sha_of(p)] = make_report(sha_of(p), clock() - 86400.0)
-        config, _ = make_config(service, tmp_path / "state.json", clock)
-        out = verdicts_submit_poll(state, files, config)
+        state.save(state_path)
+        client, _ = make_config(service, state_path, clock, 10)
+        out = client(files)
         assert service.submit_calls == []
         assert service.lookup_calls == []
         assert out.used_today == 0
@@ -325,10 +331,12 @@ class TestVerdictClient:
         sha = sha_of(files[0])
         fresh = make_report(sha, clock() - 10.0)
         service = ScriptedService(known={sha: fresh})
+        state_path = tmp_path / "state.json"
         state = QuotaState.new(daily_limit=10, now=clock())
         state.completed[sha] = make_report(sha, clock() - 40 * 86400.0)
-        config, _ = make_config(service, tmp_path / "state.json", clock)
-        out = verdicts_submit_poll(state, files, config)
+        state.save(state_path)
+        client, _ = make_config(service, state_path, clock, 10)
+        out = client(files)
         assert service.submit_calls == []
         assert out.completed[sha].fetched_at == fresh.fetched_at
         assert out.used_today == 0
@@ -337,9 +345,10 @@ class TestVerdictClient:
         clock = FakeClock()
         files = write_samples(tmp_path, 5)
         service = ScriptedService()
-        state = QuotaState.new(daily_limit=2, now=clock())
-        config, _ = make_config(service, tmp_path / "state.json", clock)
-        out = verdicts_submit_poll(state, files, config)
+        state_path = tmp_path / "state.json"
+        QuotaState.new(daily_limit=2, now=clock()).save(state_path)
+        client, _ = make_config(service, state_path, clock, 2)
+        out = client(files)
         assert len(service.submit_calls) == 2
         assert out.used_today == 2
         assert out.pending == []
@@ -355,27 +364,26 @@ class TestVerdictClient:
         state.save(state_path)
 
         # Day 1: process dies on the third submission attempt.
-        config, _ = make_config(service, state_path, clock)
+        client, _ = make_config(service, state_path, clock, 3)
         with pytest.raises(SimulatedCrash):
-            verdicts_submit_poll(state, files, config)
+            client(files)
         state = QuotaState.load(state_path)
         assert state.used_today == 2
         assert len(state.pending) == 2
 
         # Restart the same day: the two in-flight ids are not resubmitted.
         service.crash_on_submit = None
-        config, _ = make_config(service, state_path, clock)
-        state = verdicts_submit_poll(state, files, config)
+        state = client(files)
         assert state.used_today == 3
         assert len(service.submit_calls) == 3
         assert state.pending == []
 
         # Days 2 and 3 pick up the remainder under the same limit.
         clock.advance_days(1)
-        state = verdicts_submit_poll(state, files, config)
+        state = client(files)
         assert state.used_today == 3
         clock.advance_days(1)
-        state = verdicts_submit_poll(state, files, config)
+        state = client(files)
         assert set(state.completed) == all_shas
         assert sorted(service.submit_calls) == sorted(all_shas)
         assert len(service.submit_calls) == len(set(service.submit_calls))
@@ -386,31 +394,51 @@ class TestVerdictClient:
         files = write_samples(tmp_path, 4)
         state_path = tmp_path / "state.json"
         service = ScriptedService(ready_after=2)
-        state = QuotaState.new(daily_limit=10, now=clock())
-        config, _ = make_config(service, state_path, clock)
-        out = verdicts_submit_poll(state, files, config)
+        QuotaState.new(daily_limit=10, now=clock()).save(state_path)
+        client, _ = make_config(service, state_path, clock, 10)
+        out = client(files)
         assert QuotaState.load(state_path) == out
+
+    def test_config_limit_replaces_the_saved_one(self, tmp_path):
+        clock = FakeClock()
+        files = write_samples(tmp_path, 4)
+        service = ScriptedService()
+        state_path = tmp_path / "state.json"
+        state = QuotaState.new(daily_limit=10, now=clock())
+        state.used_today = 3
+        state.save(state_path)
+        client, _ = make_config(service, state_path, clock, 1)
+        out = client(files)
+        assert service.submit_calls == []
+        assert (out.used_today, out.daily_limit) == (3, 1)
+        assert QuotaState.load(state_path) == out
+        # The next UTC day starts at the lowered limit.
+        clock.advance_days(1)
+        out = client(files)
+        assert len(service.submit_calls) == 1
+        assert (out.used_today, out.daily_limit) == (1, 1)
 
     def test_transport_retry_with_backoff(self, tmp_path):
         clock = FakeClock()
         files = write_samples(tmp_path, 1)
         service = ScriptedService(flaky_submits=2)
-        state = QuotaState.new(daily_limit=5, now=clock())
-        config, slept = make_config(service, tmp_path / "state.json", clock)
-        out = verdicts_submit_poll(state, files, config)
+        state_path = tmp_path / "state.json"
+        QuotaState.new(daily_limit=5, now=clock()).save(state_path)
+        client, slept = make_config(service, state_path, clock, 5)
+        out = client(files)
         assert len(service.submit_calls) == 1
         assert out.used_today == 1
-        assert slept[:2] == [0.01, 0.02]
+        assert slept[:2] == [scoring.RETRY_DELAY, 2 * scoring.RETRY_DELAY]
 
     def test_transport_exhaustion_propagates(self, tmp_path):
         clock = FakeClock()
         files = write_samples(tmp_path, 1)
         service = ScriptedService(flaky_submits=10)
-        state = QuotaState.new(daily_limit=5, now=clock())
-        config, _ = make_config(service, tmp_path / "state.json", clock,
-                                retries=2)
+        state_path = tmp_path / "state.json"
+        QuotaState.new(daily_limit=5, now=clock()).save(state_path)
+        client, _ = make_config(service, state_path, clock, 5)
         with pytest.raises(scoring.TransportError):
-            verdicts_submit_poll(state, files, config)
+            client(files)
 
     def test_lock_excludes_second_runner(self, tmp_path):
         clock = FakeClock()
@@ -419,10 +447,10 @@ class TestVerdictClient:
         fd = os.open(str(state_path) + ".lock", os.O_CREAT | os.O_RDWR)
         fcntl.flock(fd, fcntl.LOCK_EX)
         try:
-            state = QuotaState.new(daily_limit=5, now=clock())
-            config, _ = make_config(ScriptedService(), state_path, clock)
+            QuotaState.new(daily_limit=5, now=clock()).save(state_path)
+            client, _ = make_config(ScriptedService(), state_path, clock, 5)
             with pytest.raises(scoring.StateLockError):
-                verdicts_submit_poll(state, files, config)
+                client(files)
         finally:
             os.close(fd)
 
@@ -431,9 +459,10 @@ class TestVerdictClient:
         p = tmp_path / "dup.bin"
         p.write_bytes(b"identical payload")
         service = ScriptedService()
-        state = QuotaState.new(daily_limit=5, now=clock())
-        config, _ = make_config(service, tmp_path / "state.json", clock)
-        out = verdicts_submit_poll(state, [p, p, p], config)
+        state_path = tmp_path / "state.json"
+        QuotaState.new(daily_limit=5, now=clock()).save(state_path)
+        client, _ = make_config(service, state_path, clock, 5)
+        out = client([p, p, p])
         assert len(service.submit_calls) == 1
         assert out.used_today == 1
 
@@ -448,9 +477,10 @@ class TestVerdictClient:
                 return super().submit(sha256, data)
 
         service = RefusingService()
-        state = QuotaState.new(daily_limit=10, now=clock())
-        config, _ = make_config(service, tmp_path / "state.json", clock)
-        out = verdicts_submit_poll(state, files, config)
+        state_path = tmp_path / "state.json"
+        QuotaState.new(daily_limit=10, now=clock()).save(state_path)
+        client, _ = make_config(service, state_path, clock, 10)
+        out = client(files)
         assert len(service.submit_calls) == 1
         assert out.used_today == 1
         assert len(out.completed) == 1
