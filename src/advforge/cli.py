@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, analytics, features, gbdt, harness, mutator, pe
 from . import poisonlab, scoring, selector
-from .records import Record, list_files, read_jsonl, write_jsonl
+from .records import Record, file_row, list_files, read_jsonl, write_jsonl
 
 
 class ConfigError(ValueError):
@@ -211,23 +211,13 @@ def cmd_train(args, config: GlobalConfig) -> int:
 
 
 def cmd_validate(args, config: GlobalConfig) -> int:
-    files = _input_files(args.input_dir)
-    rows = []
-    failures = 0
-    for path in files:
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            rows.append({"path": str(path), "error": str(exc)})
-            failures += 1
-            continue
-        report = pe.validate(data)
-        rows.append({"path": str(path), **report.to_dict()})
+    rows = [file_row(path, lambda _path, data: pe.validate(data).to_dict())
+            for path in _input_files(args.input_dir)]
     if args.out:
         write_jsonl(Path(args.out) / "reports.jsonl", rows)
     else:
         print("\n".join(json.dumps(r) for r in rows))
-    return 1 if failures else 0
+    return 1 if any("error" in r for r in rows) else 0
 
 
 def cmd_mutate(args, config: GlobalConfig) -> int:
@@ -246,33 +236,27 @@ def cmd_mutate(args, config: GlobalConfig) -> int:
     files_dir = out / "files"
     files_dir.mkdir(exist_ok=True)
 
-    rows = []
-    failures = 0
-    for path in files:
-        row = {"path": str(path)}
-        try:
-            data = path.read_bytes()
-            row["sha256"] = sha = hashlib.sha256(data).hexdigest()
-            # stable per-file seed: order of files must not matter
-            seed = (config.rng_seed ^ int(sha[:16], 16)) & ((1 << 64) - 1)
-            campaign = mutator.CampaignConfig(
-                max_steps=args.max_steps,
-                score_threshold=handle.threshold,
-                rng_seed=seed)
-            result = mutator.run_campaign(
-                data, lambda b: scoring.score(handle, b), campaign, pool)
-        except (OSError, mutator.MutatorError, scoring.ScoringError) as exc:
-            rows.append({**row, "error": str(exc)})
-            failures += 1
-            continue
+    def campaign(path: Path, data: bytes) -> dict:
+        sha = hashlib.sha256(data).hexdigest()
+        # stable per-file seed: order of files must not matter
+        seed = (config.rng_seed ^ int(sha[:16], 16)) & ((1 << 64) - 1)
+        result = mutator.run_campaign(
+            data, lambda b: scoring.score(handle, b),
+            mutator.CampaignConfig(max_steps=args.max_steps,
+                                   score_threshold=handle.threshold,
+                                   rng_seed=seed), pool)
         (files_dir / path.name).write_bytes(result.final_bytes)
-        rows.append({**row,
-                     "evaded": result.evaded,
-                     "steps_used": result.steps_used,
-                     "final_score": result.score_trace[-1][1],
-                     "plan": result.plan.to_dict()})
+        return {"sha256": sha,
+                "evaded": result.evaded,
+                "steps_used": result.steps_used,
+                "final_score": result.score_trace[-1][1],
+                "plan": result.plan.to_dict()}
+
+    rows = [file_row(path, campaign,
+                     (mutator.MutatorError, scoring.ScoringError))
+            for path in files]
     write_jsonl(out / "campaigns.jsonl", rows)
-    return 1 if failures else 0
+    return 1 if any("error" in r for r in rows) else 0
 
 
 def cmd_harness_run(args, config: GlobalConfig) -> int:

@@ -1,12 +1,11 @@
 """Chunked generator-worker orchestration.
 
 The coordinator splits a corpus into balanced chunks, launches one worker
-process per chunk under a parallelism cap and an optional load gate, and
-every ``TICK`` (50 ms) reaps exited workers and checks each running
-worker's log file.  A log that stays unchanged for the stale window gets
-its worker killed: the chunk restarts once with a clean output directory,
-and a second freeze discards it.  Only chunks that finish cleanly are
-merged.
+process per chunk under a parallelism cap, and every ``TICK`` (50 ms)
+reaps exited workers and checks each running worker's log file.  A log
+that stays unchanged for the stale window gets its worker killed: the
+chunk restarts once with a clean output directory, and a second freeze
+discards it.  Only chunks that finish cleanly are merged.
 
 Worker contract: the command template receives {input_dir}, {output_dir}
 and {log_file}; the worker reads every file in its input directory, writes
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import pe
-from .records import Record, list_files
+from .records import Record, file_row, list_files
 
 # how often the coordinator looks at its running workers: it bounds how
 # late a finished worker is noticed; the stale window is checked apart
@@ -55,7 +54,6 @@ class HarnessConfig(Record):
     stale_window: float = 600.0
     max_restarts: int = 1
     max_parallel: int = 4
-    load_gate: dict | None = None
 
     def __post_init__(self) -> None:
         if self.chunk_count < 1:
@@ -69,8 +67,6 @@ class HarnessConfig(Record):
         for placeholder in ("{input_dir}", "{output_dir}", "{log_file}"):
             if placeholder not in self.worker_command:
                 raise ValueError(f"worker_command lacks {placeholder}")
-        if self.load_gate is not None and "target_load" not in self.load_gate:
-            raise ValueError("load_gate requires target_load")
 
 
 @dataclass
@@ -97,43 +93,25 @@ class ChunkManifest:
                            for cid, files in self.chunks],
                 "excluded": list(self.excluded)}
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ChunkManifest":
-        return cls(
-            chunks=tuple((c["chunk_id"], tuple(c["files"]))
-                         for c in obj["chunks"]),
-            excluded=tuple(obj["excluded"]))
-
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1))
-
-    @classmethod
-    def load(cls, path) -> "ChunkManifest":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def split_dataset(input_dir, chunk_count: int) -> ChunkManifest:
     """Partition valid PE files into balanced chunks (sizes differ by <= 1).
 
-    Invalid files are excluded and logged; the chunk count caps at the
-    number of valid files.
+    Invalid or unreadable files are excluded with their reasons; the chunk
+    count caps at the number of valid files.
     """
     if chunk_count < 1:
         raise ValueError("chunk_count must be at least 1")
-    paths = list_files(input_dir)
-    valid = []
-    excluded = []
-    for path in paths:
-        try:
-            report = pe.validate(path.read_bytes())
-        except OSError as exc:
-            excluded.append({"path": str(path), "reasons": [str(exc)]})
-            continue
-        if report.is_valid_pe:
-            valid.append(str(path))
-        else:
-            excluded.append({"path": str(path),
-                             "reasons": list(report.reasons)})
+    rows = [file_row(path, lambda _path, data: {
+                "reasons": list(pe.validate(data).reasons)})
+            for path in list_files(input_dir)]
+    valid = [r["path"] for r in rows if r.get("reasons") == []]
+    excluded = [{"path": r["path"],
+                 "reasons": r.get("reasons") or [r["error"]]}
+                for r in rows if r.get("reasons") != []]
     if not valid:
         raise EmptyInput(f"no valid PE files in {input_dir}")
     k = min(chunk_count, len(valid))
@@ -192,8 +170,8 @@ def _kill(proc) -> None:
 
 
 def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
-        clock=time.time, sleep=time.sleep, loadavg=None,
-        status_stream=None, status_interval: float = 2.0) -> HarnessSummary:
+        clock=time.time, sleep=time.sleep, status_stream=None,
+        status_interval: float = 2.0) -> HarnessSummary:
     """Drive every chunk to done or discarded; returns the run summary."""
     chunks_root = Path(work_dir) / "chunks"
     # start empty: copying onto a leftover input link writes through it;
@@ -201,8 +179,6 @@ def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
     if chunks_root.exists():
         shutil.rmtree(chunks_root)
     chunks_root.mkdir(parents=True)
-    if loadavg is None:
-        loadavg = getattr(os, "getloadavg", None)
 
     statuses = {}
     for chunk_id, files in manifest.chunks:
@@ -216,15 +192,6 @@ def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
 
     def note(chunk_id, event):
         events.append({"ts": clock(), "chunk_id": chunk_id, "event": event})
-
-    def gate_open() -> bool:
-        if config.load_gate is None or loadavg is None:
-            return True
-        try:
-            current = loadavg()[0]
-        except OSError:
-            return True
-        return current <= config.load_gate["target_load"]
 
     def retry(w: WorkerStatus) -> bool:
         """Spend one restart on a failed attempt; with none left, discard."""
@@ -295,9 +262,6 @@ def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
                 check(w)
             running = [w for w in running if w.state == "running"]
             while pending and len(running) < config.max_parallel:
-                if not gate_open():
-                    note(pending[0].chunk_id, "defer-load")
-                    break
                 w = pending.popleft()
                 launch(w)
                 if w.state == "running":

@@ -2,10 +2,12 @@
 
 ``Record`` gives flat dataclasses one shared ``to_dict``/``from_dict``
 pair.  ``read_jsonl``/``write_jsonl`` are the package's only JSONL reader
-and writer, ``write_csv`` its only CSV writer, and ``list_files`` its only
-directory listing.  ``engine_verdicts`` is the one check of an engine map,
-``{engine: {"detected": bool, ...}}``: the columns that ``select`` writes
-and ``stats`` reads, and ``MultiEngineReport.engines``.
+and writer, ``write_csv`` its only CSV writer, ``list_files`` its only
+directory listing, and ``file_row`` its one per-file read: a listed file
+becomes one row, or one ``{"path", "error"}`` row when it fails.
+``engine_verdicts`` is the one check of an engine map, ``{engine:
+{"detected": bool, ...}}``: the columns that ``select`` writes and
+``stats`` reads, and ``MultiEngineReport.engines``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,16 @@ def list_files(dir_path) -> list:
     """A directory's entries that are not directories, sorted by path.  A
     dangling symlink is kept, so the caller that reads it reports it."""
     return sorted(p for p in Path(dir_path).iterdir() if not p.is_dir())
+
+
+def file_row(path, fn, errors=()) -> dict:
+    """``{"path": str(path), **fn(path, data)}`` for the file's bytes, or
+    ``{"path", "error"}`` when the read or ``fn`` raises OSError or one of
+    ``errors``, so a failed file costs only its own row."""
+    try:
+        return {"path": str(path), **fn(path, Path(path).read_bytes())}
+    except (OSError, *errors) as exc:
+        return {"path": str(path), "error": str(exc)}
 
 
 def read_jsonl(path) -> list:

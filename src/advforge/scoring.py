@@ -28,7 +28,7 @@ from pathlib import Path
 from . import features
 from .gbdt import TrainedModel
 from .mutator import DEFAULT_THRESHOLD as DEFAULT_SCORE_THRESHOLD
-from .records import Record, engine_verdicts, list_files
+from .records import Record, engine_verdicts, file_row, list_files
 
 DEFAULT_TIMEOUT_MS = 10_000
 RETRIES = 3
@@ -94,9 +94,7 @@ def score(handle: ScorerHandle, data: bytes) -> float:
     """Score raw file bytes, returning a probability in [0, 1]."""
     if handle.kind == "local":
         vec = features.extract(data)
-        prob = float(handle.model.predict_proba(vec[None, :])[0])
-        # Guard against numeric drift; the sigmoid already lands in range.
-        return min(max(prob, 0.0), 1.0)
+        return float(handle.model.predict_proba(vec[None, :])[0])
     return _score_http(handle, data)
 
 
@@ -142,28 +140,19 @@ def classify_dir(handle: ScorerHandle, dir_path, parallelism: int = 1):
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
-    paths = list_files(dir_path)
 
-    def one(path: Path):
-        try:
-            data = path.read_bytes()
-            return ("ok", (hashlib.sha256(data).hexdigest(),
-                           score(handle, data)))
-        except (OSError, ScoringError) as exc:
-            return ("error", {"path": str(path), "error": str(exc)})
+    def one(_path: Path, data: bytes) -> dict:
+        return {"sha256": hashlib.sha256(data).hexdigest(),
+                "score": score(handle, data)}
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        outcomes = list(pool.map(one, paths))
+        rows = list(pool.map(lambda path: file_row(path, one, (ScoringError,)),
+                             list_files(dir_path)))
 
-    report: dict[str, dict] = {}
-    errors: list[dict] = []
-    for tag, payload in outcomes:
-        if tag == "error":
-            errors.append(payload)
-        else:
-            sha, value = payload
-            report[sha] = {"score": value, "verdict": value >= handle.threshold}
-    return report, errors
+    report = {r["sha256"]: {"score": r["score"],
+                            "verdict": r["score"] >= handle.threshold}
+              for r in rows if "error" not in r}
+    return report, [r for r in rows if "error" in r]
 
 
 @dataclass(frozen=True)

@@ -70,10 +70,13 @@ class TestConfig:
                 cli.load_config(path)
 
     def test_unknown_nested_key_rejected(self, tmp_path):
-        path = write_config(tmp_path / "c.json",
-                            {"selection": {"ember_thresh": 0.9}})
-        with pytest.raises(cli.ConfigError, match="selection"):
-            cli.load_config(path)
+        harness = {"worker_command": "w {input_dir} {output_dir} {log_file}",
+                   "load_gate": {"target_load": 1.0}}
+        for section, body in (("selection", {"ember_thresh": 0.9}),
+                              ("harness", harness)):
+            path = write_config(tmp_path / "c.json", {section: body})
+            with pytest.raises(cli.ConfigError, match=section):
+                cli.load_config(path)
 
     def test_env_fallback(self, tmp_path, monkeypatch):
         path = write_config(tmp_path / "c.json", {"rng_seed": 99})
@@ -412,6 +415,8 @@ class TestMutateAndScore:
     def test_mutate_dangling_link_is_an_error_row(self, tmp_path):
         make_corpus(tmp_path / "in", 2)
         dangling_link(tmp_path / "in" / "gone.bin")
+        # a file that is not a PE fails its campaign and gets the same row
+        (tmp_path / "in" / "junk.bin").write_bytes(b"not a pe at all")
         constant_model_file(tmp_path / "model.json", -2.0)
         cfg = write_config(tmp_path / "c.json", {
             "scorer": {"kind": "local",
@@ -423,9 +428,26 @@ class TestMutateAndScore:
                          "--out", str(out)]) == 1
         rows = read_jsonl(out / "campaigns.jsonl")
         assert [Path(r["path"]).name for r in rows] == [
-            "gone.bin", "s000.bin", "s001.bin"]
-        assert set(rows[0]) == {"path", "error"}
-        assert all(r["evaded"] for r in rows[1:])
+            "gone.bin", "junk.bin", "s000.bin", "s001.bin"]
+        assert all(set(r) == {"path", "error"} for r in rows[:2])
+        assert all(r["evaded"] for r in rows[2:])
+
+    def test_mutate_write_failure_costs_only_its_row(self, tmp_path):
+        make_corpus(tmp_path / "in", 3)
+        cfg = local_scorer_config(tmp_path)
+        out = tmp_path / "out"
+        # a directory squatting on one output name makes its write fail
+        (out / "files" / "s001.bin").mkdir(parents=True)
+        assert dispatch(["--config", cfg, "mutate",
+                         "--in", str(tmp_path / "in"),
+                         "--out", str(out)]) == 1
+        rows = read_jsonl(out / "campaigns.jsonl")
+        assert [Path(r["path"]).name for r in rows] == [
+            "s000.bin", "s001.bin", "s002.bin"]
+        assert set(rows[1]) == {"path", "error"}
+        assert rows[0]["evaded"] and rows[2]["evaded"]
+        assert (out / "files" / "s002.bin").is_file()
+        assert (out / "run_manifest.json").exists()
 
     def test_mutate_pool_without_content_is_exit_2(self, tmp_path, capsys):
         make_corpus(tmp_path / "in", 1)

@@ -1,9 +1,11 @@
 """Static checks over the package source."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import advforge
+from advforge import cli
 
 PACKAGE = Path(advforge.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -133,3 +135,15 @@ def test_names_only_tests_reach_are_frozen():
     dead = package_dead_names(CALLER_DIRS)
     assert [name for name in package_dead_names(PROGRAM_DIRS)
             if name not in dead] == []
+
+
+def test_every_config_key_is_documented():
+    """Each field of ``cli.GlobalConfig`` and of its sections is named in
+    README.md, as ``"key"`` or as ``section.key``."""
+    readme = (ROOT / "README.md").read_text()
+    keys = [("", f.name) for f in fields(cli.GlobalConfig)]
+    keys += [(section, f.name) for section, cls in cli._SECTIONS.items()
+             for f in fields(cls)]
+    assert [f"{section}.{key}".lstrip(".") for section, key in keys
+            if f'"{key}"' not in readme
+            and f"{section}.{key}" not in readme] == []

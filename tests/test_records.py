@@ -7,7 +7,7 @@ from advforge import (cli, gbdt, harness, pe, poisonlab, records, scoring,
 
 HARNESS = harness.HarnessConfig(
     worker_command="w {input_dir} {output_dir} {log_file}",
-    chunk_count=3, load_gate={"target_load": 1.5})
+    chunk_count=3)
 ENGINES = {"a": {"detected": True}, "b": {"detected": False}}
 
 RECORDS = [
@@ -55,6 +55,23 @@ def test_unknown_key_rejected(record):
 def test_to_dict_passes_dicts_through():
     report = RECORDS[IDS.index("MultiEngineReport")]
     assert report.to_dict()["engines"] is report.engines
+
+
+def test_file_row_turns_a_failure_into_an_error_row(tmp_path):
+    path = tmp_path / "a.bin"
+    path.write_bytes(b"abc")
+
+    def bad(_path, _data):
+        raise ValueError("bad")
+
+    assert records.file_row(path, lambda _path, data: {"size": len(data)}
+                            ) == {"path": str(path), "size": 3}
+    assert set(records.file_row(tmp_path / "gone.bin", bad)) == {
+        "path", "error"}
+    assert records.file_row(path, bad, (ValueError,)) == {
+        "path": str(path), "error": "bad"}
+    with pytest.raises(ValueError):
+        records.file_row(path, bad)
 
 
 def test_engine_verdicts_checks_the_map_shape():
