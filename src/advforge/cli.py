@@ -118,6 +118,10 @@ def build_scorer(config: GlobalConfig) -> scoring.ScorerHandle:
         if not section.model_path:
             raise ConfigError("local scorer needs model_path")
         model = gbdt.TrainedModel.load(section.model_path)
+        if model.feature_dim != features.FEATURE_DIM:
+            raise ConfigError(
+                f"model {section.model_path} takes {model.feature_dim} "
+                f"features, but extraction gives {features.FEATURE_DIM}")
         return scoring.ScorerHandle.local(model, threshold=section.threshold)
     if section.kind == "http":
         if not section.endpoint:
@@ -241,7 +245,7 @@ def cmd_mutate(args, config: GlobalConfig) -> int:
         # stable per-file seed: order of files must not matter
         seed = (config.rng_seed ^ int(sha[:16], 16)) & ((1 << 64) - 1)
         result = mutator.run_campaign(
-            data, lambda b: scoring.score(handle, b),
+            data, lambda b, image: scoring.score(handle, b, image),
             mutator.CampaignConfig(max_steps=args.max_steps,
                                    score_threshold=handle.threshold,
                                    rng_seed=seed), pool)

@@ -29,8 +29,8 @@ STRING_BLOCK = slice(544, 552)
 ENTROPY_WINDOW = 2048
 ENTROPY_STRIDE = 1024
 
-_PRINTABLE_LO = 0x20
-_PRINTABLE_HI = 0x7E
+# 1 for a printable ASCII byte (0x20..0x7E), 0 otherwise; for bytes.translate
+_PRINTABLE = bytes(0x20 <= c <= 0x7E for c in range(256))
 _MIN_RUN = 5
 
 
@@ -42,54 +42,46 @@ def _shannon_bits(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _byte_entropy_histogram(arr: np.ndarray) -> np.ndarray:
+def _byte_blocks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(byte counts of the input, byte counts of each full
+    ENTROPY_STRIDE-byte block), both from one ``bincount``: the bytes
+    after the last full block count as one more row, kept in the total."""
+    blocks = arr.size // ENTROPY_STRIDE
+    full = blocks * ENTROPY_STRIDE
+    keys = arr.astype(np.intp)
+    head = keys[:full].reshape(blocks, ENTROPY_STRIDE)
+    head += (np.arange(blocks) * 256)[:, None]
+    keys[full:] += blocks * 256
+    counts = np.bincount(keys, minlength=256 * (blocks + 1))
+    counts = counts.reshape(blocks + 1, 256)
+    return counts.sum(axis=0), counts[:blocks]
+
+
+def _byte_entropy_histogram(total: np.ndarray, per_block: np.ndarray,
+                            size: int) -> np.ndarray:
     """Joint (entropy bin, value bin) histogram over sliding windows.
 
-    Short inputs fall back to a single whole-file window.  Window entropy
-    is computed over the 16 coarse value bins (byte >> 4), doubled onto a
-    0..8 scale, then quantized to 16 bins.
+    A window of ENTROPY_WINDOW bytes at stride ENTROPY_STRIDE is two
+    adjacent blocks, so its 16 coarse value counts (byte >> 4) are the sum
+    of theirs.  Short inputs fall back to a single whole-file window.
+    Window entropy over the coarse bins is doubled onto a 0..8 scale, then
+    quantized to 16 bins.  Counts stay integers until the final division,
+    so the sum order of the joint histogram cannot change a bit of it.
     """
-    hist = np.zeros((16, 16))
-    if arr.size == 0:
-        return hist.ravel()
-    if arr.size < ENTROPY_WINDOW:
-        windows = arr.reshape(1, -1)
+    if size < ENTROPY_WINDOW:
+        counts = total.reshape(1, 16, 16).sum(axis=2)
+        width = size
     else:
-        view = np.lib.stride_tricks.sliding_window_view(arr, ENTROPY_WINDOW)
-        windows = view[::ENTROPY_STRIDE]
-
-    width = windows.shape[1]
-    chunk = 4096  # rows per pass, bounds the bincount intermediate
-    for lo in range(0, windows.shape[0], chunk):
-        rows = (windows[lo : lo + chunk] >> 4).astype(np.int32)
-        n = rows.shape[0]
-        offsets = (np.arange(n, dtype=np.int32) * 16)[:, None]
-        counts = np.bincount(
-            (rows + offsets).ravel(), minlength=16 * n
-        ).reshape(n, 16)
-        p = counts / width
-        logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
-        entropy = -(p * logs).sum(axis=1) * 2.0
-        bins = np.minimum((entropy * 2).astype(np.int64), 15)
-        np.add.at(hist, bins, counts)
-    return hist.ravel() / hist.sum()
-
-
-def _printable_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (run lengths >= MIN_RUN, bytes inside those runs)."""
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
-    mask = (arr >= _PRINTABLE_LO) & (arr <= _PRINTABLE_HI)
-    padded = np.concatenate(([False], mask, [False]))
-    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
-    starts, ends = edges[::2], edges[1::2]
-    lengths = ends - starts
-    keep = lengths >= _MIN_RUN
-    starts, ends, lengths = starts[keep], ends[keep], lengths[keep]
-    if lengths.size == 0:
-        return lengths, np.zeros(0, dtype=np.uint8)
-    chunks = [arr[s:e] for s, e in zip(starts, ends)]
-    return lengths, np.concatenate(chunks)
+        coarse = per_block.reshape(-1, 16, 16).sum(axis=2)
+        counts = coarse[:-1] + coarse[1:]
+        width = ENTROPY_WINDOW
+    p = counts / width
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    entropy = -(p * logs).sum(axis=1) * 2.0
+    bins = np.minimum((entropy * 2).astype(np.int64), 15)
+    keys = (bins[:, None] * 16 + np.arange(16)).ravel()
+    hist = np.bincount(keys, weights=counts.ravel(), minlength=256)
+    return hist / hist.sum()
 
 
 def _header_numerics(image: pe.PeImage, file_size: int) -> np.ndarray:
@@ -101,23 +93,13 @@ def _header_numerics(image: pe.PeImage, file_size: int) -> np.ndarray:
         rva, size = opt.data_directory(index)
         return 1.0 if (rva or size) else 0.0
 
-    block = np.zeros(16)
-    block[0] = image.coff.machine
-    block[1] = opt.subsystem
-    block[2] = opt.dll_characteristics
-    block[3] = opt.linker_major
-    block[4] = opt.linker_minor
-    block[5] = opt.os_major
-    block[6] = opt.os_minor
-    block[7] = image.coff.timestamp
-    block[8] = image.num_sections
-    block[9] = opt.size_of_image
-    block[10] = 1.0 if opt.checksum else 0.0
-    block[11] = dir_flag(pe.DIR_SECURITY)
-    block[12] = dir_flag(pe.DIR_DEBUG)
-    block[13] = len(image.overlay)
-    block[14] = file_size
-    return block
+    return np.array([
+        image.coff.machine, opt.subsystem, opt.dll_characteristics,
+        opt.linker_major, opt.linker_minor, opt.os_major, opt.os_minor,
+        image.coff.timestamp, image.num_sections, opt.size_of_image,
+        1.0 if opt.checksum else 0.0, dir_flag(pe.DIR_SECURITY),
+        dir_flag(pe.DIR_DEBUG), len(image.overlay), file_size, 0.0,
+    ], dtype=np.float64)
 
 
 def _section_aggregates(image: pe.PeImage) -> np.ndarray:
@@ -125,58 +107,72 @@ def _section_aggregates(image: pe.PeImage) -> np.ndarray:
     sections = image.sections
     if not sections:
         return block
-    entropies = []
-    printability = []
-    for s in sections:
-        body = np.frombuffer(s.raw_data, dtype=np.uint8)
-        entropies.append(_shannon_bits(np.bincount(body, minlength=256)))
-        name = s.name.rstrip(b"\x00")
-        if name:
-            printable = sum(_PRINTABLE_LO <= c <= _PRINTABLE_HI for c in name)
-            printability.append(printable / len(name))
-        else:
-            printability.append(0.0)
+    entropies = np.array([
+        _shannon_bits(np.bincount(np.frombuffer(s.raw_data, dtype=np.uint8),
+                                  minlength=256)) for s in sections])
+    names = [s.name.rstrip(b"\x00") for s in sections]
+    printability = np.array([
+        name.translate(_PRINTABLE).count(1) / len(name) if name else 0.0
+        for name in names])
     raw_sizes = [s.raw_size for s in sections]
     block[0] = len(sections)
-    block[1] = float(np.mean(entropies))
-    block[2] = float(np.max(entropies))
-    block[3] = float(np.mean(raw_sizes))
-    block[4] = float(np.max(raw_sizes))
+    block[1] = float(entropies.mean())
+    block[2] = float(entropies.max())
+    block[3] = sum(raw_sizes) / len(raw_sizes)
+    block[4] = max(raw_sizes)
     block[5] = sum(1 for s in sections if s.characteristics & 0x20000000)
     block[6] = sum(1 for s in sections if s.characteristics & 0x80000000)
-    block[7] = float(np.mean(printability))
+    block[7] = float(printability.mean())
     return block
 
 
-def _string_stats(data: bytes, arr: np.ndarray) -> np.ndarray:
+def _string_stats(data: bytes) -> np.ndarray:
+    """Runs of at least _MIN_RUN printable bytes: count, mean and longest
+    length, and the entropy of the bytes inside them."""
     block = np.zeros(8)
-    lengths, chars = _printable_runs(arr)
+    flags = np.frombuffer(b"\x00" + data.translate(_PRINTABLE) + b"\x00",
+                          dtype=np.bool_)
+    edges = np.flatnonzero(flags[1:] != flags[:-1])
+    starts, ends = edges[::2], edges[1::2]
+    lengths = ends - starts
+    keep = lengths >= _MIN_RUN
+    lengths = lengths[keep]
     if lengths.size:
+        chars = b"".join([data[s:e] for s, e in
+                          zip(starts[keep].tolist(), ends[keep].tolist())])
         block[0] = lengths.size
         block[1] = float(lengths.mean())
         block[2] = float(lengths.max())
-        block[3] = _shannon_bits(np.bincount(chars, minlength=256))
+        block[3] = _shannon_bits(
+            np.bincount(np.frombuffer(chars, dtype=np.uint8), minlength=256))
     block[4] = data.count(b"http")
     block[5] = data.count(b"MZ")
     return block
 
 
-def extract(data: bytes) -> np.ndarray:
-    """Total, pure extraction; returns a float64 vector of FEATURE_DIM."""
+def extract(data: bytes, image: pe.PeImage | None = None) -> np.ndarray:
+    """Total, pure extraction; returns a float64 vector of FEATURE_DIM.
+
+    ``image`` saves the parse: pass ``pe.parse(data)`` or the image that
+    ``data`` was serialized from, whose fields parse back unchanged.  The
+    vector is bit-identical either way.
+    """
     vec = np.zeros(FEATURE_DIM)
     if not data:
         return vec
     arr = np.frombuffer(data, dtype=np.uint8)
-    vec[BYTE_HISTOGRAM] = np.bincount(arr, minlength=256) / arr.size
-    vec[BYTE_ENTROPY] = _byte_entropy_histogram(arr)
-    try:
-        image = pe.parse(data)
-    except pe.PeError:
-        image = None
+    total, per_block = _byte_blocks(arr)
+    vec[BYTE_HISTOGRAM] = total / arr.size
+    vec[BYTE_ENTROPY] = _byte_entropy_histogram(total, per_block, arr.size)
+    if image is None:
+        try:
+            image = pe.parse(data)
+        except pe.PeError:
+            pass
     if image is not None:
         vec[HEADER_BLOCK] = _header_numerics(image, len(data))
         vec[SECTION_BLOCK] = _section_aggregates(image)
-    vec[STRING_BLOCK] = _string_stats(data, arr)
+    vec[STRING_BLOCK] = _string_stats(data)
     return vec
 
 

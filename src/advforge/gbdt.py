@@ -21,7 +21,7 @@ import functools
 import json
 import math
 import pathlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -114,6 +114,38 @@ class Tree:
         return int((self.feature < 0).sum())
 
 
+def _joined(trees: tuple[Tree, ...], name: str) -> np.ndarray:
+    """One node array of every tree, tree after tree."""
+    return np.concatenate([getattr(t, name) for t in trees] or [[]])
+
+
+def _check_trees(trees: tuple[Tree, ...], feature_dim: int) -> None:
+    """Raise GbdtError unless each tree's node arrays have one length and
+    each internal node tests a feature in ``[0, feature_dim)`` and has both
+    children inside its own tree.  Packed, a bad index would walk into
+    another tree's nodes, and an extra value would shift later trees'
+    values onto the wrong leaves.  The trainer's trees need no check."""
+    names = [f.name for f in fields(Tree)]
+    lengths = np.array([[getattr(t, name).size for name in names]
+                        for t in trees], dtype=np.intp).reshape(-1, len(names))
+    sizes = lengths[:, 0]
+    uneven = np.flatnonzero((lengths != sizes[:, None]).any(axis=1))
+    if uneven.size:
+        raise GbdtError(f"tree {uneven[0]}: node arrays differ in length")
+    feature, left, right = (_joined(trees, name)
+                            for name in ("feature", "left", "right"))
+    tree_size = np.repeat(sizes, sizes)
+    bad = (feature >= 0) & ((feature >= feature_dim)
+                            | (np.minimum(left, right) < 0)
+                            | (np.maximum(left, right) >= tree_size))
+    if bad.any():
+        node = int(np.flatnonzero(bad)[0])
+        roots = np.cumsum(sizes) - sizes
+        tree = int(np.searchsorted(roots, node, side="right")) - 1
+        raise GbdtError(f"tree {tree} node {node - roots[tree]}: "
+                        "feature or child out of range")
+
+
 class _Pack:
     """Every node of an ensemble in one set of arrays, tree after tree.
 
@@ -126,17 +158,13 @@ class _Pack:
         sizes = np.array([t.feature.size for t in trees], dtype=np.intp)
         self.roots = np.cumsum(sizes) - sizes
         offsets = np.repeat(self.roots, sizes)
-
-        def joined(name: str) -> np.ndarray:
-            return np.concatenate([getattr(t, name) for t in trees] or [[]])
-
-        feature = joined("feature")
+        feature = _joined(trees, "feature")
         self.leaf = feature < 0
         self.feature = np.maximum(feature, 0)
-        self.threshold = joined("threshold")
-        self.value = joined("value")
-        self.left = joined("left") + offsets
-        self.right = joined("right") + offsets
+        self.threshold = _joined(trees, "threshold")
+        self.value = _joined(trees, "value")
+        self.left = _joined(trees, "left") + offsets
+        self.right = _joined(trees, "right") + offsets
         own = np.flatnonzero(self.leaf)
         self.left[own] = own
         self.right[own] = own
@@ -180,6 +208,7 @@ class TrainedModel:
 
     @functools.cached_property
     def _pack(self) -> _Pack:
+        _check_trees(self.trees, self.feature_dim)
         return _Pack(self.trees)
 
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
@@ -225,11 +254,12 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path) -> "TrainedModel":
-        """Read a saved model; a file that is not one raises GbdtError
-        naming it."""
+        """Read a saved model; a file that is not one, or whose trees do
+        not fit together (see ``_check_trees``), raises GbdtError naming
+        it."""
         try:
             blob = json.loads(pathlib.Path(path).read_text())
-            return cls(
+            model = cls(
                 trees=tuple(Tree.from_lists(t) for t in blob["trees"]),
                 base_score=blob["base_score"],
                 learning_rate=blob["learning_rate"],
@@ -238,8 +268,10 @@ class TrainedModel:
                 degenerate=blob["degenerate"],
                 train_loss_trace=tuple(blob["train_loss_trace"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+            model._pack  # built here, so that its checks name the file
+        except (KeyError, TypeError, ValueError, GbdtError) as exc:
             raise GbdtError(f"bad model file {path}: {exc}") from exc
+        return model
 
 
 def _sigmoid(raw: np.ndarray) -> np.ndarray:

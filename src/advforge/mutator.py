@@ -350,8 +350,9 @@ def run_campaign(
     config: CampaignConfig,
     pool: ContentPool | None = None,
 ) -> CampaignResult:
-    """Hill-climb ``data`` against ``scorer``, a callable from bytes to
-    score, until it scores below the threshold or the step budget runs out.
+    """Hill-climb ``data`` against ``scorer``, a callable from a
+    candidate's bytes and its ``pe.PeImage`` to a score, until it scores
+    below the threshold or the step budget runs out.
 
     Each step samples one action uniformly from the allowed set, applies
     it, and keeps the candidate only on strict score improvement.  Content
@@ -365,7 +366,7 @@ def run_campaign(
 
     rng = np.random.default_rng(config.rng_seed)
     current_bytes = data
-    current_score = float(scorer(current_bytes))
+    current_score = float(scorer(current_bytes, current_image))
     trace: list[tuple[int, float]] = [(0, current_score)]
     accepted: list[MutationAction] = []
     steps_used = 0
@@ -382,7 +383,7 @@ def run_campaign(
                 candidate_bytes = pe.serialize(candidate_image)
             except (InvalidTarget, pe.LayoutOverflow):
                 continue
-            score = float(scorer(candidate_bytes))
+            score = float(scorer(candidate_bytes, candidate_image))
             if score < current_score:
                 current_image = candidate_image
                 current_bytes = candidate_bytes

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import features
+from . import features, pe
 from .gbdt import TrainedModel
 from .mutator import DEFAULT_THRESHOLD as DEFAULT_SCORE_THRESHOLD
 from .records import Record, engine_verdicts, file_row, list_files
@@ -90,10 +90,16 @@ class ScorerHandle:
                    threshold=threshold)
 
 
-def score(handle: ScorerHandle, data: bytes) -> float:
-    """Score raw file bytes, returning a probability in [0, 1]."""
+def score(handle: ScorerHandle, data: bytes,
+          image: pe.PeImage | None = None) -> float:
+    """Score raw file bytes, returning a probability in [0, 1].
+
+    ``image`` is passed on to ``features.extract`` by the local scorer, so
+    a caller that holds the parsed image saves a parse; the http scorer
+    sends the bytes alone.
+    """
     if handle.kind == "local":
-        vec = features.extract(data)
+        vec = features.extract(data, image)
         return float(handle.model.predict_proba(vec[None, :])[0])
     return _score_http(handle, data)
 

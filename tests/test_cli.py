@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cli_service
-from advforge import cli, features, gbdt, scoring, selector
+from advforge import cli, features, gbdt, pe, scoring, selector, synth
 from advforge.cli import dispatch
 from advforge.records import read_jsonl
 from alg1_oracle import alg1_reference
@@ -178,7 +178,16 @@ class TestExitCodes:
         ["mutate", "--in", "{in}", "--out", "{out}"],
         ["poison", "cross-eval", "--model", "{model}", "--data", "{in}"],
     ])
-    @pytest.mark.parametrize("blob", ["{}", "{not json", "[1]"])
+    @pytest.mark.parametrize("blob", ["{}", "{not json", "[1]", pytest.param(
+        json.dumps({"base_score": 0.0, "learning_rate": 1.0,
+                    "feature_dim": features.FEATURE_DIM,
+                    "decision_threshold": 0.5, "degenerate": False,
+                    "train_loss_trace": [],
+                    "trees": [{"feature": [0, -1, -1],
+                               "threshold": [0.5, 0.0, 0.0],
+                               "left": [1, -1, -1], "right": [3, -1, -1],
+                               "value": [0.0, 1.0, 2.0]}]}),
+        id="child-outside-its-tree")])
     def test_bad_model_file_exits_1_naming_it(self, tmp_path, capsys, argv,
                                               blob):
         make_corpus(tmp_path / "in", 1)
@@ -192,6 +201,26 @@ class TestExitCodes:
                         + [arg.format(**paths) for arg in argv])
         assert code == 1
         assert f"bad model file {model}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["score", "--in", "{in}"],
+        ["mutate", "--in", "{in}", "--out", "{out}"],
+    ])
+    def test_model_of_wrong_width_is_exit_2(self, tmp_path, capsys, argv):
+        make_corpus(tmp_path / "in", 1)
+        model = tmp_path / "model.json"
+        gbdt.TrainedModel(trees=(), base_score=0.0, learning_rate=0.05,
+                          feature_dim=3).save(model)
+        cfg = write_config(tmp_path / "c.json", {
+            "scorer": {"kind": "local", "model_path": str(model)}})
+        paths = {"in": tmp_path / "in", "out": tmp_path / "out"}
+        code = dispatch(["--config", cfg]
+                        + [arg.format(**paths) for arg in argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(model) in err
+        assert "3" in err and str(features.FEATURE_DIM) in err
+        assert not (tmp_path / "out" / "campaigns.jsonl").exists()
 
 
 TRAIN_GBDT = {"max_rounds": 5, "num_leaves": 4, "min_data_in_leaf": 2,
@@ -282,6 +311,51 @@ class TestTrainCommand:
                          "--in", str(malicious), "--out", str(out),
                          "--max-steps", "8"]) == 0
         assert len(read_jsonl(out / "campaigns.jsonl")) == 4
+
+    def test_mutate_parses_each_input_once(self, tmp_path, monkeypatch):
+        """The campaign hands each candidate's image to the scorer, so
+        ``extract`` never parses again, and that image gives the vector
+        the bytes alone give."""
+        malicious, benign = tmp_path / "mal", tmp_path / "ben"
+        benign.mkdir()
+        inputs = synth.write_corpus(malicious, 4, seed=11)
+        for path in inputs:
+            (benign / path.name).write_bytes(path.read_bytes()
+                                             + bytes(range(256)) * 16)
+        model_path = tmp_path / "out" / "model.json"
+        # a cut below every score the model gives: each campaign runs all
+        # its steps, and later candidates grow from an accepted image that
+        # was serialized, never parsed
+        scorer = {"scorer": {"kind": "local", "model_path": str(model_path),
+                             "threshold": 0.01}}
+        assert run_train(tmp_path, malicious, benign, scorer) == 0
+        parsed, scored = [], []
+        real_parse, real_extract = pe.parse, features.extract
+
+        def counting_parse(data):
+            parsed.append(len(data))
+            return real_parse(data)
+
+        def recording_extract(data, image=None):
+            scored.append((data, image))
+            return real_extract(data, image)
+
+        monkeypatch.setattr(pe, "parse", counting_parse)
+        monkeypatch.setattr(features, "extract", recording_extract)
+        out = tmp_path / "adv"
+        assert dispatch(["--config", str(tmp_path / "c.json"), "mutate",
+                         "--in", str(malicious), "--out", str(out),
+                         "--max-steps", "40"]) == 0
+        monkeypatch.undo()
+        assert len(parsed) == len(inputs)
+        rows = read_jsonl(out / "campaigns.jsonl")
+        assert [r["steps_used"] for r in rows] == [40] * len(inputs)
+        assert all(r["plan"]["actions"] for r in rows)
+        assert len(scored) > len(inputs)
+        for data, image in scored:
+            assert image is not None
+            assert (real_extract(data, image).tobytes()
+                    == real_extract(data).tobytes())
 
 
 class TestValidate:

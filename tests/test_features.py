@@ -7,9 +7,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pe_oracle
-from advforge import features, pe
+from advforge import features, pe, synth
 from advforge.features import (
     BYTE_ENTROPY,
     BYTE_HISTOGRAM,
@@ -23,6 +25,7 @@ from advforge.features import (
     write_matrix,
 )
 from advforge.records import read_jsonl as read_manifest
+from features_oracle import oracle
 
 
 def naive_byte_entropy(data: bytes) -> np.ndarray:
@@ -194,6 +197,54 @@ class TestExtract:
     def test_pure(self, corpus_files):
         data = corpus_files[0].read_bytes()
         np.testing.assert_array_equal(extract(data), extract(data))
+
+
+@st.composite
+def synth_mutants(draw):
+    """A synthetic PE, cut short or with a few bytes overwritten."""
+    data = bytearray(synth.synth_pe(np.random.default_rng(
+        draw(st.integers(0, 2**32 - 1)))))
+    if draw(st.booleans()):
+        return bytes(data[:draw(st.integers(0, len(data)))])
+    for _ in range(draw(st.integers(1, 8))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+def assert_matches_oracle(data: bytes) -> None:
+    """``extract`` equals the frozen oracle bit for bit, with and without
+    a parsed image, and neither it nor ``pe.validate`` raises."""
+    want = oracle(data).tobytes()
+    assert extract(data).tobytes() == want
+    report = pe.validate(data)
+    if report.is_valid_pe:
+        assert extract(data, pe.parse(data)).tobytes() == want
+
+
+class TestOracle:
+    """Bit-identity with the extractor as it stood before its blocks were
+    rebuilt: a last-ulp change can flip a tree's split."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=9000), synth_mutants()))
+    def test_fuzzed_inputs(self, data):
+        assert_matches_oracle(data)
+
+    @pytest.mark.parametrize("size", [0, 1, 2047, 2048, 3071, 3072, 3073])
+    def test_window_edges(self, size, rng):
+        assert_matches_oracle(rng.integers(0, 256, size, dtype=np.uint8)
+                              .tobytes())
+        assert_matches_oracle(b"printable run " * (size // 14)
+                              + b"\x00" * (size % 14))
+
+    def test_synth_corpora(self, corpus_files, tmp_path):
+        paths = list(corpus_files)
+        for seed in (1, 2, 3):
+            paths += synth.write_corpus(tmp_path / str(seed), 32, seed=seed)
+        for path in paths:
+            assert_matches_oracle(path.read_bytes())
+        for blob in synth.fallback_benign_pool():
+            assert_matches_oracle(blob)
 
 
 class TestBatch:

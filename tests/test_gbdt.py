@@ -1,5 +1,6 @@
 """Trainer tests: closed-form oracles, loss monotonicity, determinism."""
 
+import json
 import math
 
 import numpy as np
@@ -316,6 +317,37 @@ class TestTraining:
             model.predict_proba(probe), back.predict_proba(probe)
         )
         assert back.feature_dim == 6
+
+    @pytest.mark.parametrize("edit", [
+        "child-past-its-tree", "child-before-its-tree", "extra-value",
+        "short-threshold", "feature-past-dim",
+    ])
+    def test_load_rejects_trees_that_do_not_fit(self, tmp_path, edit):
+        """A bad node array must fail at load, naming the file, not walk
+        into another tree or shift later trees' values."""
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(60, 4))
+        y = (x[:, 1] > 0).astype(float)
+        hp = Hyperparams(num_leaves=4, min_data_in_leaf=2, max_rounds=5,
+                         early_stop_rounds=0)
+        path = tmp_path / "model.json"
+        train(x, y, hp, rng_seed=2).save(path)
+        blob = json.loads(path.read_text())
+        tree = blob["trees"][1]
+        node = tree["feature"].index(max(tree["feature"]))  # an internal node
+        if edit == "child-past-its-tree":
+            tree["right"][node] = len(tree["feature"])
+        elif edit == "child-before-its-tree":
+            tree["left"][node] = -1
+        elif edit == "extra-value":
+            tree["value"].append(0.0)
+        elif edit == "short-threshold":
+            tree["threshold"].pop()
+        else:
+            tree["feature"][node] = blob["feature_dim"]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(gbdt.GbdtError, match=f"bad model file {path}"):
+            TrainedModel.load(path)
 
 
 INPUT_VALUES = st.one_of(

@@ -219,7 +219,7 @@ class TestContentPool:
             ContentPool([])
 
 
-def _nonzero_fraction(data: bytes) -> float:
+def _nonzero_fraction(data: bytes, _image=None) -> float:
     arr = np.frombuffer(data, dtype=np.uint8)
     return int(np.count_nonzero(arr)) / len(arr)
 
@@ -227,7 +227,7 @@ def _nonzero_fraction(data: bytes) -> float:
 class TestCampaign:
     def test_constant_zero_scorer(self):
         data = pe_oracle.build_pe()
-        res = run_campaign(data, lambda b: 0.0, CampaignConfig(max_steps=10))
+        res = run_campaign(data, lambda b, _image: 0.0, CampaignConfig(max_steps=10))
         assert res.evaded is True
         assert res.steps_used == 0
         assert res.plan.actions == ()
@@ -235,7 +235,7 @@ class TestCampaign:
 
     def test_constant_one_scorer(self):
         data = pe_oracle.build_pe()
-        res = run_campaign(data, lambda b: 1.0, CampaignConfig(max_steps=6))
+        res = run_campaign(data, lambda b, _image: 1.0, CampaignConfig(max_steps=6))
         assert res.evaded is False
         assert res.steps_used == 6
         assert res.plan.actions == ()
@@ -278,7 +278,7 @@ class TestCampaign:
 
     def test_campaign_deterministic(self, corpus_files):
         data = corpus_files[0].read_bytes()
-        scorer = lambda b: int.from_bytes(hashlib.sha256(b).digest()[:8], "big") / 2**64
+        scorer = lambda b, _image: int.from_bytes(hashlib.sha256(b).digest()[:8], "big") / 2**64
         cfg = CampaignConfig(max_steps=12, score_threshold=0.05, rng_seed=99)
         pool = ContentPool.fallback()
         r1 = run_campaign(data, scorer, cfg, pool=pool)
@@ -289,11 +289,11 @@ class TestCampaign:
 
     def test_invalid_input_rejected(self):
         with pytest.raises(mutator.InvalidInput):
-            run_campaign(b"MZ" + b"\x00" * 100, lambda b: 1.0, CampaignConfig())
+            run_campaign(b"MZ" + b"\x00" * 100, lambda b, _image: 1.0, CampaignConfig())
 
     def test_trace_strictly_decreasing_and_outputs_valid_fuzzed(self, corpus_files):
         # >= 1,000 short campaigns; every output must still be a valid PE
-        scorer = lambda b: int.from_bytes(hashlib.sha256(b).digest()[:8], "big") / 2**64
+        scorer = lambda b, _image: int.from_bytes(hashlib.sha256(b).digest()[:8], "big") / 2**64
         pool = ContentPool.fallback()
         campaigns = 0
         seed = 0
