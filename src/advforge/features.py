@@ -28,6 +28,9 @@ STRING_BLOCK = slice(544, 552)
 
 ENTROPY_WINDOW = 2048
 ENTROPY_STRIDE = 1024
+# input bytes per byte-count chunk, a multiple of ENTROPY_STRIDE: every
+# input up to 1 MiB takes one bincount
+_CHUNK = 1 << 20
 
 # 1 for a printable ASCII byte (0x20..0x7E), 0 otherwise; for bytes.translate
 _PRINTABLE = bytes(0x20 <= c <= 0x7E for c in range(256))
@@ -42,18 +45,35 @@ def _shannon_bits(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _byte_blocks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(byte counts of the input, byte counts of each full
-    ENTROPY_STRIDE-byte block), both from one ``bincount``: the bytes
-    after the last full block count as one more row, kept in the total."""
-    blocks = arr.size // ENTROPY_STRIDE
+def _block_counts(chunk: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, 256) byte counts of each full ENTROPY_STRIDE-byte block of
+    ``chunk``, from one ``bincount`` over ``block * 256 + byte``; the bytes
+    after the last full block count as one more row."""
+    blocks = chunk.size // ENTROPY_STRIDE
     full = blocks * ENTROPY_STRIDE
-    keys = arr.astype(np.intp)
+    keys = chunk.astype(np.intp)
     head = keys[:full].reshape(blocks, ENTROPY_STRIDE)
     head += (np.arange(blocks) * 256)[:, None]
     keys[full:] += blocks * 256
-    counts = np.bincount(keys, minlength=256 * (blocks + 1))
-    counts = counts.reshape(blocks + 1, 256)
+    return np.bincount(keys, minlength=256 * rows).reshape(rows, 256)
+
+
+def _byte_blocks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(byte counts of the input, byte counts of each full
+    ENTROPY_STRIDE-byte block).  The ``bincount`` keys take 8 bytes per
+    input byte, so an input longer than _CHUNK is counted one chunk at a
+    time; the bytes after the last full block count as one more row, kept
+    in the total."""
+    blocks = arr.size // ENTROPY_STRIDE
+    if arr.size <= _CHUNK:
+        counts = _block_counts(arr, blocks + 1)
+    else:
+        counts = np.empty((blocks + 1, 256), dtype=np.intp)
+        step = _CHUNK // ENTROPY_STRIDE
+        for first in range(0, blocks + 1, step):
+            rows = min(step, blocks + 1 - first)
+            chunk = arr[first * ENTROPY_STRIDE : (first + step) * ENTROPY_STRIDE]
+            counts[first : first + rows] = _block_counts(chunk, rows)
     return counts.sum(axis=0), counts[:blocks]
 
 
@@ -164,6 +184,7 @@ def extract(data: bytes, image: pe.PeImage | None = None) -> np.ndarray:
     total, per_block = _byte_blocks(arr)
     vec[BYTE_HISTOGRAM] = total / arr.size
     vec[BYTE_ENTROPY] = _byte_entropy_histogram(total, per_block, arr.size)
+    del per_block  # 2 bytes per input byte, freed before the string scan
     if image is None:
         try:
             image = pe.parse(data)

@@ -5,6 +5,14 @@ hessian statistics of the logistic loss and add it with learning-rate
 shrinkage.  Trees grow leaf-wise (best global gain first) with exact
 split search over sorted feature columns; no histogram binning.
 
+The presort, the split scan and the partition of a node's sorted rows
+go over blocks of columns of at most ``_BLOCK_ELEMS`` (row, column)
+elements, so a train's scratch memory does not grow with the feature
+count and two trains run in less memory than one whole-node search took.
+A column's float32 prefix sums do not depend on its block, and the
+blocks' best splits combine as ``np.argmax`` over the whole gain matrix
+would, so the trees are those of a search over the whole node.
+
 Prediction packs every tree into one set of node arrays (``_Pack``, in
 the spirit of QuickScorer, Lucchese et al. 2015) and walks all
 (row, tree) pairs together, one depth level per numpy step; a leaf
@@ -30,6 +38,11 @@ from .records import Record
 _BASE_SCORE_CLAMP = 10.0
 # (row, tree) pairs walked at once; bounds prediction's scratch memory
 _BLOCK_PAIRS = 1 << 16
+# (row, column) elements per block of the split search: small enough
+# (144 KB of float32) for two trains to run in one whole-node search's
+# memory, large enough that a node of 64 rows by 552 features, the size
+# of a campaign surrogate's training set, is one block
+_BLOCK_ELEMS = 36_000
 
 
 class GbdtError(Exception):
@@ -303,41 +316,38 @@ class _NodeSplit:
         self.depth = depth
 
 
-def _scan_best(
+def _column_blocks(k: int, f: int) -> list[slice]:
+    """Column slices of a (k, f) node whose blocks hold at most
+    ``_BLOCK_ELEMS`` elements; a node at or under that takes one block."""
+    width = f if k * f <= _BLOCK_ELEMS else max(1, _BLOCK_ELEMS // k)
+    return [slice(c, min(c + width, f)) for c in range(0, f, width)]
+
+
+def _scan_block(
     x: np.ndarray,
     order: np.ndarray,
     feats: np.ndarray,
     g32: np.ndarray,
     h32: np.ndarray,
-    min_data: int,
-    lam: float,
-) -> tuple[float, int, int, float]:
-    """Best (gain, column, position, threshold) over presorted columns.
-
-    The scan runs in float32 for throughput; leaf values are later
-    recomputed in float64, so only split placement sees the lower
-    precision.  Returns gain -inf when no valid split exists.
-    """
-    k = order.shape[0]
-    if k < 2 * min_data or k < 2:
-        return -math.inf, -1, -1, 0.0
+    lo: int,
+    hi: int,
+    lam32: np.float32,
+) -> tuple[float, int, int] | None:
+    """(gain, position, column) of ``np.argmax`` over one block's gain
+    matrix, positions lo-1 .. hi-2; None when no boundary in the block is
+    valid."""
     sv = x[order, feats[None, :]]
+    # valid boundaries: distinct adjacent values, min_data on both sides
+    valid = sv[lo - 1 : hi - 1] != sv[lo:hi]
+    del sv
+    if not valid.any():
+        return None
     gl = g32[order]
     np.cumsum(gl, axis=0, out=gl)
     hl = h32[order]
     np.cumsum(hl, axis=0, out=hl)
     g_tot = gl[-1].copy()
     h_tot = hl[-1].copy()
-    gl = gl[:-1]
-    hl = hl[:-1]
-    lam32 = np.float32(lam)
-
-    # valid boundaries: distinct adjacent values, min_data on both sides
-    lo = max(min_data, 1)
-    hi = k - max(min_data, 1) + 1  # exclusive bound on left count
-    valid = sv[lo - 1 : hi - 1] != sv[lo:hi]
-    if not valid.any():
-        return -math.inf, -1, -1, 0.0
     gl = gl[lo - 1 : hi - 1]
     hl = hl[lo - 1 : hi - 1]
 
@@ -353,26 +363,79 @@ def _scan_best(
     gain -= g_tot * g_tot / (h_tot + lam32)
     gain[~valid] = -np.inf
 
-    flat = int(np.argmax(gain))
-    pos, col = divmod(flat, gain.shape[1])
-    best_gain = float(gain[pos, col])
+    pos, col = divmod(int(np.argmax(gain)), gain.shape[1])
+    return float(gain[pos, col]), pos, col
+
+
+def _scan_best(
+    x: np.ndarray,
+    order: np.ndarray,
+    feats: np.ndarray,
+    g32: np.ndarray,
+    h32: np.ndarray,
+    min_data: int,
+    lam: float,
+) -> tuple[float, int, int, float]:
+    """Best (gain, column, position, threshold) over presorted columns.
+
+    The scan runs in float32 for throughput; leaf values are later
+    recomputed in float64, so only split placement sees the lower
+    precision.  Column blocks pick the split that ``np.argmax`` picks over
+    the whole row-major (position, column) gain matrix: the larger gain,
+    then the smaller position, then the earlier block.  Returns gain -inf
+    when no valid split exists, or when a gain is NaN.
+    """
+    k = order.shape[0]
+    if k < 2 * min_data or k < 2:
+        return -math.inf, -1, -1, 0.0
+    lo = max(min_data, 1)
+    hi = k - lo + 1  # exclusive bound on left count
+    lam32 = np.float32(lam)
+    best_gain, best_pos, best_col = -math.inf, -1, -1
+    for cols in _column_blocks(k, feats.size):
+        found = _scan_block(x, order[:, cols], feats[cols], g32, h32,
+                            lo, hi, lam32)
+        if found is None:
+            continue
+        gain, pos, col = found
+        if math.isnan(gain):
+            return -math.inf, -1, -1, 0.0
+        if gain > best_gain or (gain == best_gain and pos < best_pos):
+            best_gain, best_pos, best_col = gain, pos, cols.start + col
     if not math.isfinite(best_gain) or best_gain <= 0.0:
         return -math.inf, -1, -1, 0.0
-    pos += lo - 1
-    threshold = (float(sv[pos, col]) + float(sv[pos + 1, col])) / 2.0
-    return best_gain, int(col), int(pos), threshold
+    pos = best_pos + lo - 1
+    rows = order[pos : pos + 2, best_col]
+    lower, upper = x[rows, feats[best_col]].tolist()
+    return best_gain, best_col, pos, (lower + upper) / 2.0
 
 
 def _partition_order(
     order: np.ndarray, member: np.ndarray, left_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split presorted columns by a row-membership mask, keeping order."""
+    """Split presorted columns by a row-membership mask, keeping order.
+
+    Fills the two halves one column block at a time."""
     k, f = order.shape
-    flags = member[order]
-    cols = order.T
-    left = cols[flags.T].reshape(f, left_size).T
-    right = cols[~flags.T].reshape(f, k - left_size).T
-    return np.ascontiguousarray(left), np.ascontiguousarray(right)
+    left = np.empty((left_size, f), dtype=order.dtype)
+    right = np.empty((k - left_size, f), dtype=order.dtype)
+    for cols in _column_blocks(k, f):
+        block = order[:, cols].T
+        flags = member[block]
+        width = block.shape[0]
+        left[:, cols] = block[flags].reshape(width, left_size).T
+        np.logical_not(flags, out=flags)
+        right[:, cols] = block[flags].reshape(width, k - left_size).T
+    return left, right
+
+
+def _presort(x: np.ndarray) -> np.ndarray:
+    """Row ids sorting each column of ``x``, sorted one column block at a
+    time."""
+    out = np.empty(x.shape, dtype=np.int32)
+    for cols in _column_blocks(*x.shape):
+        out[:, cols] = np.argsort(x[:, cols], axis=0)
+    return out
 
 
 def _grow_tree(
@@ -415,12 +478,12 @@ def _grow_tree(
     while leaves < hp.num_leaves and candidates:
         best = max(candidates, key=lambda c: c.gain)
         candidates.remove(best)
-        left_rows = best.order[: best.pos + 1, best.col]
         member_scratch[best.order[:, 0]] = False
-        member_scratch[left_rows] = True
+        member_scratch[best.order[: best.pos + 1, best.col]] = True
         left_order, right_order = _partition_order(
             best.order, member_scratch, best.pos + 1
         )
+        best.order = None  # the children's scans run without it
 
         left_id = len(feature)
         feature.extend((-1, -1))
@@ -507,7 +570,7 @@ def train(
 
     # one global presort reused by every tree; per-node orders are derived
     # by partitioning, never by re-sorting
-    presort = np.argsort(x, axis=0).astype(np.int32)
+    presort = _presort(x)
     member_scratch = np.zeros(n, dtype=bool)
     bag_mask = np.zeros(n, dtype=bool)
     bag_mask[fit_rows] = True
@@ -528,12 +591,9 @@ def train(
 
         cols = presort[:, feats] if feats.size != dim else presort
         if bag_size == n:
-            order0 = np.ascontiguousarray(cols)
+            order0 = cols
         else:
-            flags = bag_mask[cols]
-            order0 = np.ascontiguousarray(
-                cols.T[flags.T].reshape(feats.size, bag_size).T
-            )
+            order0 = _partition_order(cols, bag_mask, bag_size)[0]
 
         p = _sigmoid(raw)
         g = p - y

@@ -10,6 +10,7 @@ and emits evasion/F1 heatmaps with below-baseline cells flagged.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .gbdt import (
     f1_score,
     train,
 )
-from .records import Record, write_csv, write_jsonl
+from .records import Record, ordered_map, write_csv, write_jsonl
 
 TAU_GRID = tuple(i / 10 for i in range(11))
 FRACTION_GRID = (0.001, 0.0025, 0.005, 0.01, 0.02, 0.03, 0.05, 0.1, 0.2)
@@ -122,7 +123,14 @@ def inject_poison(train_x: np.ndarray, train_y: np.ndarray,
 
     keep = np.ones(n, dtype=bool)
     keep[removed] = False
-    x_out = np.vstack([train_x[keep], pool_x[picked]])
+    dtype = np.result_type(train_x, pool_x)
+    x_out = np.empty((n, train_x.shape[1]), dtype=dtype)
+    # one allocation: mode="clip" writes into ``out`` where "raise" would
+    # buffer a copy of it, and both index arrays are in range
+    np.take(train_x.astype(dtype, copy=False), np.flatnonzero(keep), axis=0,
+            out=x_out[: n - k], mode="clip")
+    np.take(pool_x.astype(dtype, copy=False), picked, axis=0,
+            out=x_out[n - k :], mode="clip")
     y_out = np.concatenate([train_y[keep], injected_labels])
     log = {
         "k": k,
@@ -186,12 +194,15 @@ def _heatmap_rows(tau_list, fraction_list, lookup, baseline_value):
 def run_grid(train_x, train_y, test_x, test_y, adv_pool, adv_test,
              hyperparams: Hyperparams, rng_seed: int = 0,
              tau_list=TAU_GRID, fraction_list=FRACTION_GRID,
-             out_dir=None) -> dict:
+             out_dir=None, workers: int | None = None) -> dict:
     """Baseline plus one poisoned model per (tau, fraction) cell.
 
     Cell seeds are rng_seed XOR a 1-based cell index (0 would collide with
     the baseline's own seed).  A failing cell is recorded and skipped; the
-    heatmaps leave its cell empty.
+    heatmaps leave its cell empty.  The baseline and the cells train on
+    ``workers`` threads through ``records.ordered_map``, by default one per
+    available core.  Every unit has its own seed and its results come back
+    in grid order, so the outputs do not depend on ``workers``.
     """
     train_x = np.ascontiguousarray(np.asarray(train_x), dtype=np.float32)
     train_y = np.asarray(train_y).astype(np.int64).ravel()
@@ -199,27 +210,32 @@ def run_grid(train_x, train_y, test_x, test_y, adv_pool, adv_test,
     test_y = np.asarray(test_y)
     adv_pool = np.asarray(adv_pool)
     adv_test = np.asarray(adv_test)
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    grid = [(tau, fraction) for tau in tau_list for fraction in fraction_list]
+    configs = [PoisonConfig(tau=tau, poisoned_fraction=fraction,
+                            rng_seed=rng_seed ^ index)
+               for index, (tau, fraction) in enumerate(grid, 1)]
 
-    base_model = train(train_x, train_y, hyperparams, rng_seed=rng_seed)
-    baseline = evaluate(base_model, test_x, test_y, adv_test,
-                        config="baseline")
+    def run(config):
+        # None is the baseline; a cell gives its report or a failure row
+        if config is None:
+            model = train(train_x, train_y, hyperparams, rng_seed=rng_seed)
+            return evaluate(model, test_x, test_y, adv_test,
+                            config="baseline")
+        try:
+            px, py, _ = inject_poison(train_x, train_y, adv_pool, config)
+            model = train(px, py, hyperparams, rng_seed=config.rng_seed)
+            return evaluate(model, test_x, test_y, adv_test, config=config)
+        except (PoisonLabError, GbdtError) as exc:
+            return {"tau": config.tau,
+                    "poisoned_fraction": config.poisoned_fraction,
+                    "error": str(exc)}
 
-    cells = []
-    failures = []
-    cell_index = 0
-    for tau in tau_list:
-        for fraction in fraction_list:
-            cell_index += 1
-            config = PoisonConfig(tau=tau, poisoned_fraction=fraction,
-                                  rng_seed=rng_seed ^ cell_index)
-            try:
-                px, py, _ = inject_poison(train_x, train_y, adv_pool, config)
-                model = train(px, py, hyperparams, rng_seed=config.rng_seed)
-                cells.append(evaluate(model, test_x, test_y, adv_test,
-                                      config=config))
-            except (PoisonLabError, GbdtError) as exc:
-                failures.append({"tau": tau, "poisoned_fraction": fraction,
-                                 "error": str(exc)})
+    baseline, *rows = ordered_map(run, [None] + configs, workers)
+    cells = [r for r in rows if isinstance(r, MetricsReport)]
+    failures = [r for r in rows if not isinstance(r, MetricsReport)]
 
     result = {"baseline": baseline, "cells": cells, "failures": failures}
     if out_dir is not None:

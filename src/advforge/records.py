@@ -5,6 +5,8 @@ pair.  ``read_jsonl``/``write_jsonl`` are the package's only JSONL reader
 and writer, ``write_csv`` its only CSV writer, ``list_files`` its only
 directory listing, and ``file_row`` its one per-file read: a listed file
 becomes one row, or one ``{"path", "error"}`` row when it fails.
+``ordered_map`` is the one worker pool: independent units on threads,
+results in input order.
 ``engine_verdicts`` is the one check of an engine map, ``{engine:
 {"detected": bool, ...}}``: the columns that ``select`` writes and
 ``stats`` reads, and ``MultiEngineReport.engines``.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -73,6 +76,52 @@ def file_row(path, fn, errors=()) -> dict:
         return {"path": str(path), **fn(path, Path(path).read_bytes())}
     except (OSError, *errors) as exc:
         return {"path": str(path), "error": str(exc)}
+
+
+def ordered_map(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]`` on ``workers`` threads.
+
+    The calling thread is one of the workers, so ``workers == 1`` starts
+    no thread, and no more than ``workers`` threads hold a malloc arena
+    (glibc gives each thread its own, and an arena keeps its high-water
+    mark).  Items are handed out in input order.  When ``fn`` raises, no
+    later item starts; once every worker has stopped, the exception of the
+    lowest failed index is raised, as a serial loop would raise it.
+    """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    items = list(items)
+    results = [None] * len(items)
+    failures = {}
+    lock = threading.Lock()
+    handed = 0
+
+    def drain() -> None:
+        nonlocal handed
+        while True:
+            with lock:
+                index = handed
+                if index >= len(items) or failures:
+                    return
+                handed += 1
+            try:
+                results[index] = fn(items[index])
+            except BaseException as exc:
+                with lock:
+                    failures[index] = exc
+
+    threads = [threading.Thread(target=drain)
+               for _ in range(min(workers, len(items)) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        drain()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def read_jsonl(path) -> list:

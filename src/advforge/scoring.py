@@ -19,7 +19,6 @@ import os
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -28,7 +27,7 @@ from pathlib import Path
 from . import features, pe
 from .gbdt import TrainedModel
 from .mutator import DEFAULT_THRESHOLD as DEFAULT_SCORE_THRESHOLD
-from .records import Record, engine_verdicts, file_row, list_files
+from .records import Record, engine_verdicts, file_row, list_files, ordered_map
 
 DEFAULT_TIMEOUT_MS = 10_000
 RETRIES = 3
@@ -141,19 +140,16 @@ def classify_dir(handle: ScorerHandle, dir_path, parallelism: int = 1):
     Returns ``(report, errors)`` where report maps sha256 to
     ``{"score": float, "verdict": bool}`` (verdict is score >= threshold)
     and errors lists per-file read and scoring failures, so one failed
-    request costs only its own file.  The report is identical for any
-    parallelism level.
+    request costs only its own file.  Files are scored on ``parallelism``
+    threads through ``records.ordered_map``, the calling thread one of
+    them; the report is identical for any parallelism level.
     """
-    if parallelism < 1:
-        raise ValueError("parallelism must be at least 1")
-
     def one(_path: Path, data: bytes) -> dict:
         return {"sha256": hashlib.sha256(data).hexdigest(),
                 "score": score(handle, data)}
 
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        rows = list(pool.map(lambda path: file_row(path, one, (ScoringError,)),
-                             list_files(dir_path)))
+    rows = ordered_map(lambda path: file_row(path, one, (ScoringError,)),
+                       list_files(dir_path), parallelism)
 
     report = {r["sha256"]: {"score": r["score"],
                             "verdict": r["score"] >= handle.threshold}

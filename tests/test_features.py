@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -236,6 +238,30 @@ class TestOracle:
                               .tobytes())
         assert_matches_oracle(b"printable run " * (size // 14)
                               + b"\x00" * (size % 14))
+
+    @pytest.mark.parametrize("chunk", [1024, 3072])
+    @pytest.mark.parametrize("size", [1, 1023, 1024, 1025, 2048, 3071, 3072,
+                                      3073, 6144, 8191, 8193])
+    def test_chunked_byte_counts(self, size, chunk, rng):
+        # small chunks put the chunk edges inside small inputs
+        with mock.patch.object(features, "_CHUNK", chunk):
+            assert_matches_oracle(rng.integers(0, 256, size, dtype=np.uint8)
+                                  .tobytes())
+            assert_matches_oracle((b"printable run \xff" * size)[:size])
+
+    def test_large_input_memory(self):
+        # 16 MiB holding every byte value, in printable runs of 95: the
+        # parent's int keys alone took 8 bytes per input byte (168 MB)
+        data = bytes(range(256)) * (1 << 16)
+        extract(data[:5000])
+        tracemalloc.start()
+        try:
+            got = extract(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * len(data)
+        assert got.tobytes() == oracle(data).tobytes()
 
     def test_synth_corpora(self, corpus_files, tmp_path):
         paths = list(corpus_files)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import tracemalloc
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import gbdt_oracle
 from advforge import gbdt
 from advforge.gbdt import (
     DegenerateData,
@@ -462,6 +466,145 @@ class TestPackedWalk:
         degenerate = train(x, np.ones(4), hp)
         degenerate.predict_raw(x)
         assert degenerate == train(x, np.ones(4), hp)
+
+
+def oracle_train(x, y, hp, rng_seed):
+    """``train`` with the frozen presort, scan and partition swapped in."""
+    with mock.patch.object(gbdt, "_presort", gbdt_oracle.presort), \
+            mock.patch.object(gbdt, "_scan_best", gbdt_oracle._scan_best), \
+            mock.patch.object(gbdt, "_partition_order",
+                              gbdt_oracle._partition_order):
+        return train(x, y, hp, rng_seed=rng_seed)
+
+
+def assert_same_trees(a, b):
+    assert a.base_score == b.base_score
+    assert a.train_loss_trace == b.train_loss_trace
+    assert len(a.trees) == len(b.trees)
+    for ta, tb in zip(a.trees, b.trees):
+        for f in fields(Tree):
+            va, vb = getattr(ta, f.name), getattr(tb, f.name)
+            assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes()
+
+
+def tied_data(seed, rows, cols, levels):
+    """Integer-valued columns with ``levels`` values each, so sorted columns
+    hold long runs of ties; labels follow two columns plus noise."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=(rows, cols)).astype(np.float32)
+    y = (x[:, 0] + x[:, -1] + rng.integers(0, levels, size=rows)
+         > 1.5 * (levels - 1)).astype(float)
+    y[:2] = (0.0, 1.0)
+    return x, y
+
+
+@st.composite
+def blocked_cases(draw):
+    rows = draw(st.integers(20, 160))
+    cols = draw(st.integers(1, 24))
+    # a root of rows x cols straddles blocks of about `width` columns
+    width = draw(st.integers(1, cols + 1))
+    budget = rows * width + draw(st.integers(-rows // 2, rows // 2))
+    x, y = tied_data(draw(st.integers(0, 2**32 - 1)), rows, cols,
+                     draw(st.integers(2, 9)))
+    if draw(st.booleans()):
+        x += np.random.default_rng(rows).normal(size=x.shape).astype(
+            np.float32)
+    hp = Hyperparams(
+        learning_rate=0.3,
+        num_leaves=draw(st.integers(2, 8)),
+        max_depth=draw(st.sampled_from([-1, 2, 3])),
+        min_data_in_leaf=draw(st.integers(1, rows // 4)),
+        feature_fraction=draw(st.sampled_from([1.0, 0.6])),
+        bagging_fraction=draw(st.sampled_from([1.0, 0.7])),
+        bagging_freq=draw(st.integers(1, 3)),
+        l2_lambda=draw(st.sampled_from([0.0, 1.0])),
+        max_rounds=draw(st.integers(1, 5)),
+        early_stop_rounds=draw(st.sampled_from([0, 2])),
+    )
+    return x, y, hp, max(1, budget)
+
+
+class TestBlockedSearch:
+    """The split search in column blocks against the frozen whole-node
+    search: identical trees, node array by node array."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(blocked_cases())
+    def test_trees_match_the_oracle(self, case):
+        x, y, hp, budget = case
+        want = oracle_train(x, y, hp, rng_seed=3)
+        with mock.patch.object(gbdt, "_BLOCK_ELEMS", budget):
+            assert_same_trees(train(x, y, hp, rng_seed=3), want)
+
+    @pytest.mark.parametrize("rows,cols,blocks", [
+        (400, 90, 1), (400, 91, 2), (64, 552, 1), (66, 552, 2)])
+    def test_module_budget_straddled(self, rows, cols, blocks):
+        # the root's block count at the module's budget; 64 x 552 is the
+        # size of a campaign surrogate's training set
+        assert len(gbdt._column_blocks(rows, cols)) == blocks
+        x, y = tied_data(rows + cols, rows, cols, 4)
+        for hp in (Hyperparams(num_leaves=8, min_data_in_leaf=5,
+                               max_rounds=4, early_stop_rounds=0),
+                   Hyperparams(num_leaves=6, min_data_in_leaf=3,
+                               feature_fraction=0.5, bagging_fraction=0.7,
+                               bagging_freq=1, max_rounds=4,
+                               early_stop_rounds=2)):
+            assert_same_trees(train(x, y, hp, rng_seed=1),
+                              oracle_train(x, y, hp, rng_seed=1))
+
+    @staticmethod
+    def scan(x, g, h, budget):
+        order = np.argsort(x, axis=0, kind="stable").astype(np.int32)
+        feats = np.arange(x.shape[1])
+        with mock.patch.object(gbdt, "_BLOCK_ELEMS", budget):
+            got = gbdt._scan_best(x, order, feats, g, h, 1, 0.0)
+        assert got == gbdt_oracle._scan_best(x, order, feats, g, h, 1, 0.0)
+        return got
+
+    def test_equal_gains_in_two_blocks(self):
+        # b = -a sorts the rows in reverse, so b reaches a's best gain
+        # with the sides swapped, after k - 2 - p rows instead of p; at a
+        # budget of k each column is a block of its own
+        k = 8
+        a = np.arange(k, dtype=np.float32)
+        g = np.array([-3, -2, 1, 1, 1, 1, 0, 1], dtype=np.float32)
+        h = np.full(k, 0.25, dtype=np.float32)
+        gain_a, _, pos_a, _ = self.scan(a[:, None], g, h, k)
+        gain_b, _, pos_b, _ = self.scan(-a[:, None], g, h, k)
+        assert gain_a == gain_b > 0 and pos_a < pos_b
+        # the smaller position wins, though it sits in the later block
+        assert self.scan(np.stack([-a, a], axis=1), g, h, k)[1:3] == (1, pos_a)
+        # at one position the earlier block wins
+        assert self.scan(np.stack([a, a], axis=1), g, h, k)[1:3] == (0, pos_a)
+
+    def test_nan_gain_in_a_later_block_means_no_split(self):
+        # rows 6 and 7 carry no hessian: column 1 puts them alone on the
+        # right after 6 rows, a 0/0 gain; column 0 never isolates them
+        g = np.array([-3, -2, 1, 1, 1, 1, 0, 0], dtype=np.float32)
+        h = np.array([0.25] * 6 + [0.0] * 2, dtype=np.float32)
+        rank0 = np.array([0, 1, 2, 4, 5, 7, 3, 6], dtype=np.float32)
+        x = np.stack([rank0, np.arange(8, dtype=np.float32)], axis=1)
+        assert self.scan(x[:, :1], g, h, 8)[0] > 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            assert self.scan(x, g, h, 8) == (-math.inf, -1, -1, 0.0)
+
+    def test_grid_train_scratch_memory(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(500, 552)).astype(np.float32)
+        y = (x[:, 0] + x[:, 1] + rng.normal(size=500) > 0).astype(float)
+        hp = Hyperparams(learning_rate=0.3, num_leaves=6, min_data_in_leaf=50,
+                         max_rounds=15, early_stop_rounds=0)
+        train(x[:120, :4], y[:120], hp)  # keeps first-call imports out
+        tracemalloc.start()
+        try:
+            train(x, y, hp, rng_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 3.4 MB: the presort and the nodes' row orders, 1.1 MB
+        # each, plus blocks of 144 KB; a whole-node search took 7.9 MB
+        assert peak < 4_000_000
 
 
 class TestMetrics:

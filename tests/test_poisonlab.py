@@ -132,6 +132,22 @@ class TestInjectPoison:
         assert sorted(y[removed].tolist()) == sorted(log["injected_labels"])
         assert int((py == 1).sum()) == int((y == 1).sum())
 
+    @pytest.mark.parametrize("train_dtype,pool_dtype", [
+        (np.float32, np.float32), (np.float32, np.float64),
+        (np.float64, np.float32)])
+    def test_rows_and_dtype_match_a_stack_of_the_log(self, rng, train_dtype,
+                                                      pool_dtype):
+        x, y = clusters(rng, 200)
+        x = x.astype(train_dtype)
+        pool = adv_cluster(rng, 80).astype(pool_dtype)
+        config = PoisonConfig(tau=0.3, poisoned_fraction=0.2, rng_seed=6)
+        px, py, log = inject_poison(x, y, pool, config)
+        keep = np.ones(len(y), dtype=bool)
+        keep[log["removed_train_rows"]] = False
+        expected = np.vstack([x[keep], pool[log["injected_pool_rows"]]])
+        assert px.dtype == expected.dtype
+        assert px.tobytes() == expected.tobytes()
+
     def test_pool_too_small(self, rng):
         x, y = clusters(rng, 100)
         pool = adv_cluster(rng, 3)
@@ -312,6 +328,25 @@ class TestRunGrid:
         assert len(FRACTION_GRID) == 9
         assert TAU_GRID[0] == 0.0 and TAU_GRID[-1] == 1.0
         assert math.isclose(TAU_GRID[3] - TAU_GRID[2], 0.1)
+
+    def test_workers_write_identical_files(self, tmp_path, rng):
+        train_x, train_y, test_x, test_y, _, adv_test = self.make_sets(rng)
+        pool = adv_cluster(rng, 20)  # fraction 0.2 needs 60 rows
+        results = []
+        for workers in (1, 2):
+            results.append(run_grid(
+                train_x, train_y, test_x, test_y, pool, adv_test, GRID_HP,
+                rng_seed=3, tau_list=(0.0, 0.5, 1.0),
+                fraction_list=(0.05, 0.2, 0.01),
+                out_dir=tmp_path / str(workers), workers=workers))
+        serial, parallel = results
+        assert len(serial["cells"]) == 6
+        assert [f["poisoned_fraction"] for f in serial["failures"]] == [0.2] * 3
+        assert serial == parallel
+        for name in ("reports.jsonl", "failures.jsonl", "evasion_heatmap.csv",
+                     "f1_heatmap.csv"):
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes()), name
 
     def test_determinism(self, rng):
         sets = self.make_sets(rng, n_per=100)

@@ -1,5 +1,10 @@
 """The shared Record serialization, over every class that uses it."""
 
+import sys
+import threading
+import time
+from unittest import mock
+
 import pytest
 
 from advforge import (cli, gbdt, harness, pe, poisonlab, records, scoring,
@@ -79,3 +84,76 @@ def test_engine_verdicts_checks_the_map_shape():
     for bad in ({"a": True}, {"a": {}}, {"a": {"detected": 1}}, ["a"]):
         with pytest.raises(ValueError, match="^col"):
             records.engine_verdicts(bad, "col")
+
+
+class TestOrderedMap:
+    def test_results_in_input_order_each_item_once(self):
+        calls = []
+
+        def fn(i):
+            calls.append(i)
+            time.sleep((i * 7919 % 5) * 1e-4)
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = records.ordered_map(fn, range(300), 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [i * i for i in range(300)]
+        assert sorted(calls) == list(range(300))
+
+    def test_one_worker_starts_no_thread(self):
+        callers = set()
+
+        def fn(i):
+            callers.add(threading.get_ident())
+            return -i
+
+        with mock.patch.object(records.threading, "Thread",
+                               side_effect=AssertionError("thread started")):
+            assert records.ordered_map(fn, [1, 2, 3], 1) == [-1, -2, -3]
+        assert callers == {threading.get_ident()}
+
+    def test_calling_thread_is_a_worker(self):
+        callers = []
+        both = threading.Barrier(2, timeout=10)
+
+        def fn(i):
+            callers.append(threading.get_ident())
+            both.wait()  # each of two workers holds one item
+            return i
+
+        assert records.ordered_map(fn, [0, 1], 2) == [0, 1]
+        assert len(set(callers)) == 2
+        assert threading.get_ident() in callers
+
+    def test_lowest_failed_index_raised_after_workers_stop(self):
+        started = []
+        workers = set()
+        second_failed = threading.Event()
+
+        def fn(i):
+            started.append(i)
+            workers.add(threading.current_thread())
+            if i == 0:
+                assert second_failed.wait(timeout=10)
+                raise ValueError("item 0")
+            if i == 1:
+                second_failed.set()
+                raise KeyError("item 1")
+            return i
+
+        with pytest.raises(ValueError, match="item 0"):
+            records.ordered_map(fn, range(50), 2)
+        assert sorted(started) == [0, 1]  # no item starts after a failure
+        (other,) = workers - {threading.current_thread()}
+        assert not other.is_alive()
+
+    def test_empty_input_and_bad_worker_count(self):
+        with mock.patch.object(records.threading, "Thread",
+                               side_effect=AssertionError("thread started")):
+            assert records.ordered_map(abs, [], 4) == []
+        with pytest.raises(ValueError):
+            records.ordered_map(abs, [1], 0)
