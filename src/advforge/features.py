@@ -61,19 +61,15 @@ def _block_counts(chunk: np.ndarray, rows: int) -> np.ndarray:
 def _byte_blocks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(byte counts of the input, byte counts of each full
     ENTROPY_STRIDE-byte block).  The ``bincount`` keys take 8 bytes per
-    input byte, so an input longer than _CHUNK is counted one chunk at a
-    time; the bytes after the last full block count as one more row, kept
-    in the total."""
+    input byte, so the input is counted one _CHUNK at a time; the bytes
+    after the last full block count as one more row, kept in the total."""
     blocks = arr.size // ENTROPY_STRIDE
-    if arr.size <= _CHUNK:
-        counts = _block_counts(arr, blocks + 1)
-    else:
-        counts = np.empty((blocks + 1, 256), dtype=np.intp)
-        step = _CHUNK // ENTROPY_STRIDE
-        for first in range(0, blocks + 1, step):
-            rows = min(step, blocks + 1 - first)
-            chunk = arr[first * ENTROPY_STRIDE : (first + step) * ENTROPY_STRIDE]
-            counts[first : first + rows] = _block_counts(chunk, rows)
+    counts = np.empty((blocks + 1, 256), dtype=np.intp)
+    step = _CHUNK // ENTROPY_STRIDE
+    for first in range(0, blocks + 1, step):
+        rows = min(step, blocks + 1 - first)
+        chunk = arr[first * ENTROPY_STRIDE : (first + step) * ENTROPY_STRIDE]
+        counts[first : first + rows] = _block_counts(chunk, rows)
     return counts.sum(axis=0), counts[:blocks]
 
 

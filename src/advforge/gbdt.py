@@ -6,12 +6,12 @@ shrinkage.  Trees grow leaf-wise (best global gain first) with exact
 split search over sorted feature columns; no histogram binning.
 
 The presort, the split scan and the partition of a node's sorted rows
-go over blocks of columns of at most ``_BLOCK_ELEMS`` (row, column)
-elements, so a train's scratch memory does not grow with the feature
-count and two trains run in less memory than one whole-node search took.
-A column's float32 prefix sums do not depend on its block, and the
-blocks' best splits combine as ``np.argmax`` over the whole gain matrix
-would, so the trees are those of a search over the whole node.
+go over equal-width blocks of columns of at most ``_BLOCK_ELEMS``
+(row, column) elements, so a train's scratch memory does not grow with
+the feature count and two trains run in less memory than one whole-node
+search took.  A column's float32 prefix sums do not depend on its block,
+and the blocks' best splits combine as ``np.argmax`` over the whole gain
+matrix would, so the trees are those of a search over the whole node.
 
 Prediction packs every tree into one set of node arrays (``_Pack``, in
 the spirit of QuickScorer, Lucchese et al. 2015) and walks all
@@ -38,11 +38,10 @@ from .records import Record
 _BASE_SCORE_CLAMP = 10.0
 # (row, tree) pairs walked at once; bounds prediction's scratch memory
 _BLOCK_PAIRS = 1 << 16
-# (row, column) elements per block of the split search: small enough
-# (144 KB of float32) for two trains to run in one whole-node search's
-# memory, large enough that a node of 64 rows by 552 features, the size
-# of a campaign surrogate's training set, is one block
-_BLOCK_ELEMS = 36_000
+# (row, column) elements per block of the split search: 128 KiB of
+# float32, the default glibc mmap threshold; a larger freed array raises
+# that threshold, and the heap then keeps more of each train's scratch
+_BLOCK_ELEMS = 1 << 15
 
 
 class GbdtError(Exception):
@@ -317,10 +316,13 @@ class _NodeSplit:
 
 
 def _column_blocks(k: int, f: int) -> list[slice]:
-    """Column slices of a (k, f) node whose blocks hold at most
-    ``_BLOCK_ELEMS`` elements; a node at or under that takes one block."""
-    width = f if k * f <= _BLOCK_ELEMS else max(1, _BLOCK_ELEMS // k)
-    return [slice(c, min(c + width, f)) for c in range(0, f, width)]
+    """Column slices of a (k, f) node, as few as hold at most
+    ``_BLOCK_ELEMS`` elements each (or one column, if a column is larger),
+    with widths that differ by at most one; a node at or under the budget
+    takes one block."""
+    count = -(-f // max(1, _BLOCK_ELEMS // k))
+    edges = [f * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def _scan_block(
@@ -411,21 +413,25 @@ def _scan_best(
 
 
 def _partition_order(
-    order: np.ndarray, member: np.ndarray, left_size: int
-) -> tuple[np.ndarray, np.ndarray]:
+    order: np.ndarray, member: np.ndarray, left_size: int,
+    with_right: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Split presorted columns by a row-membership mask, keeping order.
 
-    Fills the two halves one column block at a time."""
+    Fills the two halves one column block at a time; without
+    ``with_right`` only the member rows are kept, and the right is None."""
     k, f = order.shape
     left = np.empty((left_size, f), dtype=order.dtype)
-    right = np.empty((k - left_size, f), dtype=order.dtype)
+    right = (np.empty((k - left_size, f), dtype=order.dtype)
+             if with_right else None)
     for cols in _column_blocks(k, f):
         block = order[:, cols].T
         flags = member[block]
         width = block.shape[0]
         left[:, cols] = block[flags].reshape(width, left_size).T
-        np.logical_not(flags, out=flags)
-        right[:, cols] = block[flags].reshape(width, k - left_size).T
+        if right is not None:
+            np.logical_not(flags, out=flags)
+            right[:, cols] = block[flags].reshape(width, k - left_size).T
     return left, right
 
 
@@ -593,7 +599,8 @@ def train(
         if bag_size == n:
             order0 = cols
         else:
-            order0 = _partition_order(cols, bag_mask, bag_size)[0]
+            order0, _ = _partition_order(cols, bag_mask, bag_size,
+                                         with_right=False)
 
         p = _sigmoid(raw)
         g = p - y

@@ -29,6 +29,9 @@ from .records import Record, ordered_map, write_csv, write_jsonl
 
 TAU_GRID = tuple(i / 10 for i in range(11))
 FRACTION_GRID = (0.001, 0.0025, 0.005, 0.01, 0.02, 0.03, 0.05, 0.1, 0.2)
+# most grid units trained at once: speed and memory were measured at two
+# threads only, and each running unit holds its own training scratch
+_MAX_WORKERS = 2
 
 
 class PoisonLabError(Exception):
@@ -194,15 +197,15 @@ def _heatmap_rows(tau_list, fraction_list, lookup, baseline_value):
 def run_grid(train_x, train_y, test_x, test_y, adv_pool, adv_test,
              hyperparams: Hyperparams, rng_seed: int = 0,
              tau_list=TAU_GRID, fraction_list=FRACTION_GRID,
-             out_dir=None, workers: int | None = None) -> dict:
+             out_dir=None) -> dict:
     """Baseline plus one poisoned model per (tau, fraction) cell.
 
     Cell seeds are rng_seed XOR a 1-based cell index (0 would collide with
     the baseline's own seed).  A failing cell is recorded and skipped; the
     heatmaps leave its cell empty.  The baseline and the cells train on
-    ``workers`` threads through ``records.ordered_map``, by default one per
-    available core.  Every unit has its own seed and its results come back
-    in grid order, so the outputs do not depend on ``workers``.
+    ``records.ordered_map``, one thread per available core up to
+    _MAX_WORKERS.  Every unit has its own seed and its results come back
+    in grid order, so the outputs do not depend on the thread count.
     """
     train_x = np.ascontiguousarray(np.asarray(train_x), dtype=np.float32)
     train_y = np.asarray(train_y).astype(np.int64).ravel()
@@ -210,9 +213,9 @@ def run_grid(train_x, train_y, test_x, test_y, adv_pool, adv_test,
     test_y = np.asarray(test_y)
     adv_pool = np.asarray(adv_pool)
     adv_test = np.asarray(adv_test)
-    if workers is None:
-        workers = (len(os.sched_getaffinity(0))
-                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(cores, _MAX_WORKERS)
     grid = [(tau, fraction) for tau in tau_list for fraction in fraction_list]
     configs = [PoisonConfig(tau=tau, poisoned_fraction=fraction,
                             rng_seed=rng_seed ^ index)

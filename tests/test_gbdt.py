@@ -468,12 +468,16 @@ class TestPackedWalk:
         assert degenerate == train(x, np.ones(4), hp)
 
 
+def oracle_partition(order, member, left_size, with_right=True):
+    # the frozen partition always fills both halves
+    return gbdt_oracle._partition_order(order, member, left_size)
+
+
 def oracle_train(x, y, hp, rng_seed):
     """``train`` with the frozen presort, scan and partition swapped in."""
     with mock.patch.object(gbdt, "_presort", gbdt_oracle.presort), \
             mock.patch.object(gbdt, "_scan_best", gbdt_oracle._scan_best), \
-            mock.patch.object(gbdt, "_partition_order",
-                              gbdt_oracle._partition_order):
+            mock.patch.object(gbdt, "_partition_order", oracle_partition):
         return train(x, y, hp, rng_seed=rng_seed)
 
 
@@ -538,7 +542,8 @@ class TestBlockedSearch:
             assert_same_trees(train(x, y, hp, rng_seed=3), want)
 
     @pytest.mark.parametrize("rows,cols,blocks", [
-        (400, 90, 1), (400, 91, 2), (64, 552, 1), (66, 552, 2)])
+        (400, 81, 1), (400, 82, 2), (59, 552, 1), (64, 552, 2),
+        (500, 552, 9)])
     def test_module_budget_straddled(self, rows, cols, blocks):
         # the root's block count at the module's budget; 64 x 552 is the
         # size of a campaign surrogate's training set
@@ -552,6 +557,21 @@ class TestBlockedSearch:
                                early_stop_rounds=2)):
             assert_same_trees(train(x, y, hp, rng_seed=1),
                               oracle_train(x, y, hp, rng_seed=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3000), st.integers(1, 600), st.integers(1, 40_000))
+    def test_column_blocks_equal_and_bounded(self, rows, cols, budget):
+        with mock.patch.object(gbdt, "_BLOCK_ELEMS", budget):
+            blocks = gbdt._column_blocks(rows, cols)
+        widths = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == cols
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        # no narrow tail block, and none over the budget but a lone column
+        assert max(widths) - min(widths) <= 1 and min(widths) >= 1
+        assert max(widths) * rows <= budget or max(widths) == 1
+        # one block fewer would not hold the budget
+        if len(blocks) > 1:
+            assert -(-cols // (len(blocks) - 1)) * rows > budget
 
     @staticmethod
     def scan(x, g, h, budget):
@@ -603,7 +623,7 @@ class TestBlockedSearch:
         finally:
             tracemalloc.stop()
         # about 3.4 MB: the presort and the nodes' row orders, 1.1 MB
-        # each, plus blocks of 144 KB; a whole-node search took 7.9 MB
+        # each, plus blocks of 128 KiB; a whole-node search took 7.9 MB
         assert peak < 4_000_000
 
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from advforge import poisonlab
 from advforge.gbdt import DimensionMismatch, Hyperparams, Tree, TrainedModel
 from advforge.poisonlab import (
     FRACTION_GRID,
@@ -21,6 +22,7 @@ from advforge.poisonlab import (
     run_grid,
 )
 from advforge.poisonlab import train as lab_train
+from advforge.records import ordered_map
 
 DIM = 16
 
@@ -329,16 +331,33 @@ class TestRunGrid:
         assert TAU_GRID[0] == 0.0 and TAU_GRID[-1] == 1.0
         assert math.isclose(TAU_GRID[3] - TAU_GRID[2], 0.1)
 
-    def test_workers_write_identical_files(self, tmp_path, rng):
+    @staticmethod
+    def with_cores(monkeypatch, cores):
+        """Make ``run_grid`` see ``cores`` available cores; returns the
+        list of worker counts it hands to ``ordered_map``."""
+        seen = []
+
+        def counted(fn, items, workers):
+            seen.append(workers)
+            return ordered_map(fn, items, workers)
+
+        monkeypatch.setattr(poisonlab.os, "sched_getaffinity",
+                            lambda _pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(poisonlab, "ordered_map", counted)
+        return seen
+
+    def test_workers_write_identical_files(self, tmp_path, rng, monkeypatch):
         train_x, train_y, test_x, test_y, _, adv_test = self.make_sets(rng)
         pool = adv_cluster(rng, 20)  # fraction 0.2 needs 60 rows
         results = []
-        for workers in (1, 2):
+        for cores in (1, 2):
+            seen = self.with_cores(monkeypatch, cores)
             results.append(run_grid(
                 train_x, train_y, test_x, test_y, pool, adv_test, GRID_HP,
                 rng_seed=3, tau_list=(0.0, 0.5, 1.0),
                 fraction_list=(0.05, 0.2, 0.01),
-                out_dir=tmp_path / str(workers), workers=workers))
+                out_dir=tmp_path / str(cores)))
+            assert seen == [cores]
         serial, parallel = results
         assert len(serial["cells"]) == 6
         assert [f["poisoned_fraction"] for f in serial["failures"]] == [0.2] * 3
@@ -347,6 +366,13 @@ class TestRunGrid:
                      "f1_heatmap.csv"):
             assert ((tmp_path / "1" / name).read_bytes()
                     == (tmp_path / "2" / name).read_bytes()), name
+
+    def test_workers_capped(self, rng, monkeypatch):
+        # more cores than were measured still train two units at a time
+        seen = self.with_cores(monkeypatch, 64)
+        run_grid(*self.make_sets(rng, n_per=60), GRID_HP, rng_seed=1,
+                 tau_list=(0.5,), fraction_list=(0.05,))
+        assert seen == [poisonlab._MAX_WORKERS] == [2]
 
     def test_determinism(self, rng):
         sets = self.make_sets(rng, n_per=100)
