@@ -1,8 +1,10 @@
 """Record serialization and the package's line-oriented file formats.
 
 ``Record`` gives flat dataclasses one shared ``to_dict``/``from_dict``
-pair.  ``read_jsonl``/``write_jsonl`` are the package's only JSONL reader
-and writer, ``write_csv`` its only CSV writer, ``list_files`` its only
+pair.  ``read_jsonl``/``write_jsonl`` are the package's JSONL reader and
+writer of whole files (the verdict client's state journal, a snapshot
+line and appended change lines, is read and written in ``scoring``),
+``write_csv`` its only CSV writer, ``list_files`` its only
 directory listing, and ``file_row`` its one per-file read: a listed file
 becomes one row, or one ``{"path", "error"}`` row when it fails.
 ``ordered_map`` is the one worker pool: independent units on threads,

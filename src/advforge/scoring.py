@@ -6,8 +6,12 @@ featurizer, and a remote HTTP classifier speaking a tiny JSON protocol
 of that sits a verdict client that submits samples to a multi-engine
 analysis service under a daily quota.  The ``quota`` config section
 (``QuotaConfig``) is its one configuration: the client loads, limits and
-saves its state file itself, only while it holds the file's lock, and
-persists every transition so a multi-day run survives process restarts.
+saves its state file itself, only while it holds the file's lock.  The
+state file is a journal: its first line is a compact JSON snapshot of
+``QuotaState``, and each transition appends one fsync'd line holding only
+that transition's change, so a multi-day run survives process restarts
+without rewriting the whole state per transition.  A run that appended or
+loaded lines ends by folding them into a fresh snapshot, one full write.
 """
 
 from __future__ import annotations
@@ -255,22 +259,111 @@ class QuotaState:
         )
 
     def save(self, path) -> None:
-        """Atomically persist: write a sibling temp file, then rename over."""
+        """Write the state as one compact JSON line, durably and atomically:
+        a sibling temp file is fsync'd, renamed over ``path``, and the
+        directory is fsync'd."""
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.to_dict(), indent=1))
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(_line(self.to_dict()))
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        _fsync_dir(path.parent)
 
     @classmethod
     def load(cls, path) -> "QuotaState":
-        """Read a saved state; a file that is not one raises
-        MalformedResponseError naming it."""
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except (ValueError, KeyError, TypeError, AttributeError,
-                MalformedResponseError) as exc:
-            raise MalformedResponseError(
-                f"bad quota state {path}: {exc}") from exc
+        """Read a saved state and replay its journal; a file that is not
+        one raises MalformedResponseError naming it."""
+        return _read_state(path)[0]
+
+
+@dataclass(frozen=True)
+class _Change(Record):
+    """One journal line: the fields of a ``QuotaState`` that one transition
+    sets.  ``analysis_id`` and ``submitted_at`` queue a submission of
+    ``sha256``; ``report`` completes ``sha256``, the key it is stored
+    under, which a report's own ``sha256`` need not equal."""
+
+    day: str | None = None
+    used_today: int | None = None
+    daily_limit: int | None = None
+    sha256: str | None = None
+    analysis_id: str | None = None
+    submitted_at: float | None = None
+    report: dict | None = None
+
+    def __post_init__(self) -> None:
+        if self.sha256 is None and (self.analysis_id is not None
+                                    or self.report is not None):
+            raise ValueError("a submission or report needs its sha256 key")
+
+    def apply(self, state: QuotaState) -> None:
+        if self.day is not None:
+            state.day = self.day
+        if self.used_today is not None:
+            state.used_today = self.used_today
+        if self.daily_limit is not None:
+            state.daily_limit = self.daily_limit
+        if self.analysis_id is not None:
+            state.pending.append(PendingSubmission(
+                sha256=self.sha256, analysis_id=self.analysis_id,
+                submitted_at=self.submitted_at))
+        if self.report is not None:
+            state.pending = [p for p in state.pending
+                             if p.sha256 != self.sha256]
+            state.completed[self.sha256] = MultiEngineReport.from_dict(
+                self.report)
+        state.validate()
+
+
+def _line(obj) -> str:
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _fsync_dir(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _read_state(path) -> tuple:
+    """``(state, lines, keep)`` for a state file: its snapshot with every
+    journal line replayed, the number of non-blank lines after the
+    snapshot, and the byte length of the file without a torn last line.
+
+    The snapshot is one JSON document, compact on one line or, as older
+    files hold it, indented.  A last line with no newline that does not
+    parse was cut off by a kill mid-append: it is counted and dropped.
+    Any other bad line raises MalformedResponseError naming the file.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+        snapshot, end = _DECODER.raw_decode(text)
+        state = QuotaState.from_dict(snapshot)
+        *lines, tail = text[end:].split("\n")
+        lines = [line for line in lines if line.strip()]
+        torn = False
+        if tail.strip():
+            try:
+                json.loads(tail)
+                lines.append(tail)
+            except ValueError:
+                torn = True
+        for line in lines:
+            _Change.from_dict(json.loads(line)).apply(state)
+    except (ValueError, KeyError, TypeError, AttributeError,
+            MalformedResponseError) as exc:
+        raise MalformedResponseError(
+            f"bad quota state {path}: {exc}") from exc
+    keep = len(data) - (len(tail.encode("utf-8")) if torn else 0)
+    return state, len(lines) + torn, keep
 
 
 class VerdictService:
@@ -327,6 +420,45 @@ def _state_lock(lock_path: str):
         os.close(fd)
 
 
+@contextmanager
+def _state_journal(path: Path, fresh: QuotaState):
+    """Under the state file's lock, ``(state, record)``: the state read from
+    ``path`` (or ``fresh``, saved there) and ``record(change)``, which
+    appends the change to the file as one line, fsyncs it and applies it.
+
+    The file is first cut to its whole lines, dropping a torn last line,
+    and a line that follows a last line with no newline starts with one.
+    On a clean exit, a file that was loaded with lines or was appended to
+    is compacted by one ``QuotaState.save``; after an exception it is left
+    as it is, as a kill would leave it, for the next run to replay.
+    """
+    with _state_lock(str(path) + ".lock"):
+        if path.exists():
+            state, lines, keep = _read_state(path)
+        else:
+            state, lines = fresh, 0
+            state.save(path)
+            keep = path.stat().st_size
+        fd = os.open(path, os.O_RDWR | os.O_APPEND)
+        try:
+            os.ftruncate(fd, keep)
+            sep = b"\n" if keep and os.pread(fd, 1, keep - 1) != b"\n" else b""
+
+            def record(change: _Change) -> None:
+                nonlocal sep, lines
+                os.write(fd, sep + _line(change.to_dict()).encode("utf-8"))
+                os.fsync(fd)
+                change.apply(state)
+                sep = b""
+                lines += 1
+
+            yield state, record
+        finally:
+            os.close(fd)
+        if lines:
+            state.save(path)
+
+
 def _retry_transport(fn, sleep):
     """Run fn, retrying TransportError with exponential backoff."""
     for attempt in range(RETRIES + 1):
@@ -338,12 +470,10 @@ def _retry_transport(fn, sleep):
             sleep(RETRY_DELAY * (2 ** attempt))
 
 
-def _roll_day(state: QuotaState, now: float, persist) -> None:
+def _roll_day(state: QuotaState, now: float, record) -> None:
     today = _utc_day(now)
     if state.day != today:
-        state.day = today
-        state.used_today = 0
-        persist()
+        record(_Change(day=today, used_today=0))
 
 
 def verdicts_submit_poll(files, quota: QuotaConfig, service: VerdictService,
@@ -351,33 +481,28 @@ def verdicts_submit_poll(files, quota: QuotaConfig, service: VerdictService,
     """Resolve verdicts for files: reuse fresh reports, submit under quota, poll.
 
     Holding the lock ``quota.state_path + ".lock"``, load the state (or
-    start and save it) and apply ``quota.daily_limit``, saved when that
-    changes it: a limit at or below ``used_today`` submits nothing more
-    until the next UTC day.  Fresh cached reports cost nothing; unknown
-    samples are looked up first, and only misses consume quota.  State
-    hits disk after every transition, so a killed process resumes without
-    losing or repeating work.
+    start and save it) and apply ``quota.daily_limit``: a limit at or
+    below ``used_today`` submits nothing more until the next UTC day.
+    Fresh cached reports cost nothing; unknown samples are looked up
+    first, and only misses consume quota.  Every transition (the limit
+    change, a day roll, a fresh lookup, a submit, a completed poll) is
+    appended to the state file as one fsync'd journal line before the run
+    goes on, so a killed process resumes without losing or repeating work.
+    A run that appended or loaded journal lines ends with one full
+    ``QuotaState.save``, which leaves the file a single JSON document.
     """
     path = Path(quota.state_path)
     limit = int(quota.daily_limit)
-
-    def persist():
-        state.save(path)
 
     def is_fresh(report) -> bool:
         return (report is not None
                 and clock() - report.fetched_at < quota.max_report_age)
 
-    with _state_lock(str(path) + ".lock"):
-        if path.exists():
-            state = QuotaState.load(path)
-        else:
-            state = QuotaState.new(limit, now=clock())
-            persist()
+    fresh = QuotaState.new(limit, now=clock())
+    with _state_journal(path, fresh) as (state, record):
         if state.daily_limit != limit:
-            state.daily_limit = limit
-            persist()
-        _roll_day(state, clock(), persist)
+            record(_Change(daily_limit=limit))
+        _roll_day(state, clock(), record)
         pending_shas = {p.sha256 for p in state.pending}
 
         for file in files:
@@ -387,10 +512,9 @@ def verdicts_submit_poll(files, quota: QuotaConfig, service: VerdictService,
                 continue
             report = _retry_transport(lambda: service.lookup(sha), sleep)
             if is_fresh(report):
-                state.completed[sha] = report
-                persist()
+                record(_Change(sha256=sha, report=report.to_dict()))
                 continue
-            _roll_day(state, clock(), persist)
+            _roll_day(state, clock(), record)
             if state.used_today >= state.daily_limit:
                 continue
             try:
@@ -398,11 +522,10 @@ def verdicts_submit_poll(files, quota: QuotaConfig, service: VerdictService,
                     lambda: service.submit(sha, data), sleep)
             except QuotaExceededError:
                 break
-            state.pending.append(PendingSubmission(
-                sha256=sha, analysis_id=analysis_id, submitted_at=clock()))
+            record(_Change(sha256=sha, analysis_id=analysis_id,
+                           submitted_at=clock(),
+                           used_today=state.used_today + 1))
             pending_shas.add(sha)
-            state.used_today += 1
-            persist()
 
         while state.pending:
             progressed = False
@@ -410,12 +533,11 @@ def verdicts_submit_poll(files, quota: QuotaConfig, service: VerdictService,
                 report = _retry_transport(
                     lambda: service.poll(entry.analysis_id), sleep)
                 if report is not None:
-                    state.completed[entry.sha256] = report
-                    state.pending.remove(entry)
-                    persist()
+                    record(_Change(sha256=entry.sha256,
+                                   report=report.to_dict()))
                     progressed = True
             if not state.pending:
                 break
             if not progressed:
                 sleep(quota.poll_interval)
-        return state
+    return state

@@ -709,8 +709,11 @@ class TestVerdictsCommand:
                     "completed": {"ab": {"sha256": "ab", "fetched_at": 1.0,
                                          "engines": {"e": 1},
                                          "total_engines": 1, "detections": 1,
-                                         "top_group_detections": 0}}})],
-        ids=["not-json", "engine-entry-not-object"])
+                                         "top_group_detections": 0}}}),
+        json.dumps({"v": 1, "day": "2026-01-01", "used_today": 0,
+                    "daily_limit": 5, "pending": [], "completed": {}})
+        + '\n{"used_today":1\n{"used_today":2}\n'],
+        ids=["not-json", "engine-entry-not-object", "bad-journal-line"])
     def test_corrupt_state_file_exits_1_naming_it(self, tmp_path, capsys,
                                                    state):
         make_corpus(tmp_path / "in", 1)

@@ -484,3 +484,233 @@ class TestVerdictClient:
         assert len(service.submit_calls) == 1
         assert out.used_today == 1
         assert len(out.completed) == 1
+
+
+def journal_lines(path):
+    """The lines of a state file after its snapshot line."""
+    return path.read_text().splitlines()[1:]
+
+
+def inode(path):
+    st = os.stat(path)
+    return st.st_dev, st.st_ino
+
+
+class TestJournal:
+    """The state file is a snapshot line plus one fsync'd line per
+    transition, folded into one snapshot at the end of a run."""
+
+    @staticmethod
+    def seeded(state_path, clock, daily_limit=10, reports=0):
+        state = QuotaState.new(daily_limit=daily_limit, now=clock())
+        for i in range(reports):
+            sha = f"{i:064x}"
+            state.completed[sha] = make_report(sha, clock() - 86400.0)
+        state.save(state_path)
+        return state
+
+    @staticmethod
+    def run_killed_before_compaction(client, files, monkeypatch):
+        """Run the client with the final compaction's rename failing, as a
+        kill between the last append and the compaction leaves the file."""
+        def killed(*_args):
+            raise SimulatedCrash("killed before the compaction")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", killed)
+            with pytest.raises(SimulatedCrash):
+                client(files)
+
+    @staticmethod
+    def reference(state_path, clock, *runs):
+        """The state that uninterrupted runs over each list of files, in
+        turn, reach."""
+        TestJournal.seeded(state_path, clock)
+        client, _ = make_config(ScriptedService(ready_after=1), state_path,
+                                clock, 3)
+        for files in runs:
+            state = client(files)
+        return state
+
+    def test_clean_run_leaves_one_document(self, tmp_path):
+        clock = FakeClock()
+        files = write_samples(tmp_path, 4)
+        state_path = tmp_path / "state.json"
+        self.seeded(state_path, clock)
+        client, _ = make_config(ScriptedService(ready_after=1), state_path,
+                                clock, 3)
+        out = client(files)
+        text = state_path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        # what the indented single-document reader made of it
+        assert QuotaState.from_dict(json.loads(text)) == out
+        assert QuotaState.load(state_path) == out
+        assert not (tmp_path / "state.json.tmp").exists()
+
+    def test_run_without_transitions_does_not_rewrite(self, tmp_path,
+                                                      monkeypatch):
+        clock = FakeClock()
+        files = write_samples(tmp_path, 2)
+        state_path = tmp_path / "state.json"
+        state = QuotaState.new(daily_limit=5, now=clock())
+        for p in files:
+            state.completed[sha_of(p)] = make_report(sha_of(p), clock())
+        state.save(state_path)
+        saves = []
+        monkeypatch.setattr(QuotaState, "save",
+                            lambda self, path: saves.append(path))
+        client, _ = make_config(ScriptedService(), state_path, clock, 5)
+        assert client(files) == state
+        assert saves == []
+
+    def test_save_and_every_append_are_fsynced(self, tmp_path, monkeypatch):
+        clock = FakeClock()
+        synced = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            st = os.fstat(fd)
+            synced.append((st.st_dev, st.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        state_path = tmp_path / "state.json"
+        self.seeded(state_path, clock)
+        # the temp file, renamed to the state file, then its directory
+        assert synced == [inode(state_path), inode(tmp_path)]
+
+        synced.clear()
+        journal = inode(state_path)
+        files = write_samples(tmp_path, 4)
+        client, _ = make_config(ScriptedService(ready_after=1), state_path,
+                                clock, 3)
+        self.run_killed_before_compaction(client, files, monkeypatch)
+        lines = journal_lines(state_path)
+        assert len(lines) == 7  # limit, 3 submits, 3 polls
+        assert synced[:-1] == [journal] * len(lines)
+        assert synced[-1] != journal  # the compaction's temp file
+
+    def test_kill_between_append_and_compaction(self, tmp_path, monkeypatch):
+        clock = FakeClock()
+        files = write_samples(tmp_path, 4)
+        reached = self.reference(tmp_path / "ref.json", clock, files)
+        state_path = tmp_path / "state.json"
+        self.seeded(state_path, clock)
+        client, _ = make_config(ScriptedService(ready_after=1), state_path,
+                                clock, 3)
+        self.run_killed_before_compaction(client, files, monkeypatch)
+        assert len(journal_lines(state_path)) == 7
+        assert QuotaState.load(state_path) == reached
+
+        # The next run submits nothing but compacts what it loaded.
+        service = ScriptedService()
+        client, _ = make_config(service, state_path, clock, 3)
+        assert client(files) == reached
+        assert service.submit_calls == []
+        assert journal_lines(state_path) == []
+        assert not (tmp_path / "state.json.tmp").exists()
+        assert QuotaState.load(state_path) == reached
+
+    def test_torn_last_line_is_dropped(self, tmp_path, monkeypatch):
+        clock = FakeClock()
+        files = write_samples(tmp_path, 4)
+        state_path = tmp_path / "state.json"
+        self.seeded(state_path, clock)
+        client, _ = make_config(ScriptedService(ready_after=1), state_path,
+                                clock, 3)
+        self.run_killed_before_compaction(client, files[:2], monkeypatch)
+        with open(state_path, "a") as fh:
+            fh.write('{"used_today":3,"sha256":"ab')
+        assert QuotaState.load(state_path) == self.reference(
+            tmp_path / "ref.json", clock, files[:2])
+
+        # The next run cuts the torn line off before it appends its own.
+        self.run_killed_before_compaction(client, files, monkeypatch)
+        assert '"ab' not in state_path.read_text()
+        assert QuotaState.load(state_path) == self.reference(
+            tmp_path / "ref2.json", clock, files[:2], files)
+
+    def test_last_line_without_newline_that_parses_is_kept(self, tmp_path,
+                                                           monkeypatch):
+        clock = FakeClock()
+        state_path = tmp_path / "state.json"
+        self.seeded(state_path, clock)
+        with open(state_path, "a") as fh:
+            fh.write('{"used_today":2}')
+        assert QuotaState.load(state_path).used_today == 2
+        files = write_samples(tmp_path, 1)
+        client, _ = make_config(ScriptedService(), state_path, clock, 3)
+        self.run_killed_before_compaction(client, files, monkeypatch)
+        lines = journal_lines(state_path)
+        assert lines[0] == '{"used_today":2}'
+        state = QuotaState.load(state_path)
+        assert (state.used_today, len(state.completed)) == (3, 1)
+
+    def test_bad_line_before_the_last_names_the_file(self, tmp_path):
+        clock = FakeClock()
+        state_path = tmp_path / "state.json"
+        self.seeded(state_path, clock)
+        for bad in ('{"used_today":1\n', '{"colour":"red"}\n',
+                    '{"used_today":-1}\n', '{"report":{}}\n'):
+            text = state_path.read_text().splitlines()[0] + "\n"
+            state_path.write_text(text + bad + '{"used_today":2}\n')
+            with pytest.raises(scoring.MalformedResponseError,
+                               match=str(state_path)):
+                QuotaState.load(state_path)
+
+    def test_indented_single_document_loads_and_takes_appends(
+            self, tmp_path, monkeypatch):
+        """A file written as one indented document loads to an equal
+        state, and lines appended to it replay."""
+        clock = FakeClock()
+        files = write_samples(tmp_path, 4)
+        reached = self.reference(tmp_path / "ref.json", clock, files)
+        state_path = tmp_path / "state.json"
+        state = QuotaState.new(daily_limit=10, now=clock())
+        state.pending.append(PendingSubmission("aa" * 32, "an-9", 5.0))
+        state.completed["bb" * 32] = make_report("bb" * 32, 99.0)
+        state_path.write_text(json.dumps(state.to_dict(), indent=1))
+        assert QuotaState.load(state_path) == state
+
+        self.seeded(state_path, clock)
+        state_path.write_text(json.dumps(
+            QuotaState.load(state_path).to_dict(), indent=1))
+        client, _ = make_config(ScriptedService(ready_after=1), state_path,
+                                clock, 3)
+        self.run_killed_before_compaction(client, files, monkeypatch)
+        assert QuotaState.load(state_path) == reached
+
+    def test_large_state_one_save_and_equal_lines(self, tmp_path,
+                                                  monkeypatch):
+        """The same transitions over 50 and over 5,000 stored reports cost
+        one full save per run and append lines of equal length."""
+        clock = FakeClock()
+        files = write_samples(tmp_path, 4)
+        sha0 = sha_of(files[0])
+        real_save = QuotaState.save
+        appended = {}
+        for size in (50, 5000):
+            state_path = tmp_path / f"state{size}.json"
+            self.seeded(state_path, clock, reports=size)
+            saves = []
+
+            def counting_save(state, path):
+                saves.append(journal_lines(path))
+                real_save(state, path)
+
+            # limit change, day roll, fresh lookup, 3 submits, 3 polls
+            service = ScriptedService(
+                ready_after=1, known={sha0: make_report(sha0, clock.value
+                                                        + 86400.0)})
+            client, _ = make_config(service, state_path, clock, 3)
+            clock.advance_days(1)
+            with monkeypatch.context() as patch:
+                patch.setattr(QuotaState, "save", counting_save)
+                out = client(files)
+            clock.advance_days(-1)
+            assert len(saves) == 1
+            assert len(out.completed) == size + 4
+            assert QuotaState.load(state_path) == out
+            appended[size] = [len(line) for line in saves[0]]
+        assert len(appended[50]) == 9
+        assert appended[50] == appended[5000]
