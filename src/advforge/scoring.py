@@ -348,22 +348,21 @@ def _read_state(path) -> tuple:
         snapshot, end = _DECODER.raw_decode(text)
         state = QuotaState.from_dict(snapshot)
         *lines, tail = text[end:].split("\n")
-        lines = [line for line in lines if line.strip()]
+        changes = [json.loads(line) for line in lines if line.strip()]
         torn = False
         if tail.strip():
             try:
-                json.loads(tail)
-                lines.append(tail)
+                changes.append(json.loads(tail))
             except ValueError:
                 torn = True
-        for line in lines:
-            _Change.from_dict(json.loads(line)).apply(state)
+        for change in changes:
+            _Change.from_dict(change).apply(state)
     except (ValueError, KeyError, TypeError, AttributeError,
             MalformedResponseError) as exc:
         raise MalformedResponseError(
             f"bad quota state {path}: {exc}") from exc
     keep = len(data) - (len(tail.encode("utf-8")) if torn else 0)
-    return state, len(lines) + torn, keep
+    return state, len(changes) + torn, keep
 
 
 class VerdictService:
