@@ -269,7 +269,11 @@ class QuotaState:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-        _fsync_dir(path.parent)
+        fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     @classmethod
     def load(cls, path) -> "QuotaState":
@@ -321,17 +325,6 @@ def _line(obj) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-def _fsync_dir(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-_DECODER = json.JSONDecoder()
-
-
 def _read_state(path) -> tuple:
     """``(state, lines, keep)`` for a state file: its snapshot with every
     journal line replayed, the number of non-blank lines after the
@@ -345,7 +338,7 @@ def _read_state(path) -> tuple:
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
-        snapshot, end = _DECODER.raw_decode(text)
+        snapshot, end = json.JSONDecoder().raw_decode(text)
         state = QuotaState.from_dict(snapshot)
         *lines, tail = text[end:].split("\n")
         changes = [json.loads(line) for line in lines if line.strip()]

@@ -501,13 +501,12 @@ class TestJournal:
     transition, folded into one snapshot at the end of a run."""
 
     @staticmethod
-    def seeded(state_path, clock, daily_limit=10, reports=0):
-        state = QuotaState.new(daily_limit=daily_limit, now=clock())
+    def seeded(state_path, clock, reports=0):
+        state = QuotaState.new(daily_limit=10, now=clock())
         for i in range(reports):
             sha = f"{i:064x}"
             state.completed[sha] = make_report(sha, clock() - 86400.0)
         state.save(state_path)
-        return state
 
     @staticmethod
     def run_killed_before_compaction(client, files, monkeypatch):
@@ -542,7 +541,7 @@ class TestJournal:
         out = client(files)
         text = state_path.read_text()
         assert text.count("\n") == 1 and text.endswith("\n")
-        # what the indented single-document reader made of it
+        # a reader of one JSON document, as older versions were, reads it
         assert QuotaState.from_dict(json.loads(text)) == out
         assert QuotaState.load(state_path) == out
         assert not (tmp_path / "state.json.tmp").exists()
@@ -672,9 +671,8 @@ class TestJournal:
         state_path.write_text(json.dumps(state.to_dict(), indent=1))
         assert QuotaState.load(state_path) == state
 
-        self.seeded(state_path, clock)
         state_path.write_text(json.dumps(
-            QuotaState.load(state_path).to_dict(), indent=1))
+            QuotaState.new(daily_limit=10, now=clock()).to_dict(), indent=1))
         client, _ = make_config(ScriptedService(ready_after=1), state_path,
                                 clock, 3)
         self.run_killed_before_compaction(client, files, monkeypatch)
