@@ -45,16 +45,28 @@ def _quartiles(sorted_values) -> dict:
             for name, q in (("median", 0.5), ("q25", 0.25), ("q75", 0.75))}
 
 
+def _score(value) -> float:
+    """``value``; ValueError unless it is a number in [0, 1]."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 <= value <= 1.0):
+        raise ValueError(f"score {value!r} must be a number in [0, 1]")
+    return value
+
+
 def evasion_rate(pairs, threshold: float) -> float:
-    """Fraction of originally-malicious samples whose adversarial score
-    falls below the threshold; 0 when no sample was originally malicious."""
+    """Fraction of originally-malicious rows whose ``adv_score`` falls
+    below the threshold, 0 when there are none; ValueError unless every
+    row's verdict is a bool and its ``adv_score`` a number in [0, 1]."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    malicious = [p for p in pairs if p["orig_verdict_malicious"]]
-    if not malicious:
-        return 0.0
-    evading = sum(1 for p in malicious if p["adv_score"] < threshold)
-    return evading / len(malicious)
+    malicious = evading = 0
+    for p in pairs:
+        verdict, adv = p["orig_verdict_malicious"], _score(p["adv_score"])
+        if not isinstance(verdict, bool):
+            raise ValueError("orig_verdict_malicious must be true or false")
+        malicious += verdict
+        evading += verdict and adv < threshold
+    return evading / malicious if malicious else 0.0
 
 
 @dataclass(frozen=True)
@@ -75,10 +87,7 @@ def score_drop_bins(pairs, bin_count: int = SCORE_DROP_BINS) -> ScoreDropBins:
     drops_by_bin = defaultdict(list)
     n = 0
     for pair in pairs:
-        orig = pair["orig_score"]
-        adv = pair["adv_score"]
-        if not (0.0 <= orig <= 1.0 and 0.0 <= adv <= 1.0):
-            raise ValueError("scores must lie in [0, 1]")
+        orig, adv = _score(pair["orig_score"]), _score(pair["adv_score"])
         idx = min(int(orig * bin_count), bin_count - 1)
         drops_by_bin[idx].append(orig - adv)
         n += 1

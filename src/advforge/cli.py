@@ -198,19 +198,18 @@ def cmd_train(args, config: GlobalConfig) -> int:
     matrices, errors = [], []
     for name in ("malicious", "benign"):
         src = _input_dir(getattr(args, name))
-        rows, _skipped = features.batch_extract(src, out / f"{name}.f32",
-                                                out / f"{name}.jsonl")
-        if not rows:
+        matrix, rows = features.batch_extract(src, out / f"{name}.f32",
+                                              out / f"{name}.jsonl")
+        if not len(matrix):
             raise ConfigError(f"no readable file in {src}")
-        errors += [f"{src / r['path']}: {r['error']}"
-                   for r in read_jsonl(out / f"{name}.jsonl") if "error" in r]
-        matrices.append(features.read_matrix(out / f"{name}.f32"))
+        errors += [r for r in rows if "error" in r]
+        matrices.append(matrix)
     labels = np.repeat([1, 0], [len(m) for m in matrices])
     model = gbdt.train(np.vstack(matrices), labels, config.gbdt,
                        rng_seed=config.rng_seed)
     model.save(out / "model.json")
     for problem in errors:
-        print(f"forge: {problem}", file=sys.stderr)
+        print(f"forge: {problem['path']}: {problem['error']}", file=sys.stderr)
     return 1 if errors else 0
 
 
@@ -450,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mutate", help="hill-climbing evasion campaigns")
     p.add_argument("--in", dest="input_dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-steps", type=_positive_int, default=200)
+    p.add_argument("--max-steps", type=_positive_int,
+                   default=mutator.DEFAULT_MAX_STEPS)
     p.add_argument("--pool", help="directory of benign content donors")
     p.set_defaults(func=cmd_mutate, inputs=("input_dir", "pool"))
 

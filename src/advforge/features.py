@@ -16,7 +16,7 @@ import pathlib
 import numpy as np
 
 from . import pe
-from .records import list_files, write_jsonl
+from .records import file_row, list_files, write_jsonl
 
 FEATURE_DIM = 552
 
@@ -202,33 +202,20 @@ def write_matrix(path, matrix: np.ndarray) -> None:
     pathlib.Path(path).write_bytes(header + matrix.tobytes())
 
 
-def read_matrix(path) -> np.ndarray:
-    blob = pathlib.Path(path).read_bytes()
-    rows, cols = np.frombuffer(blob[:8], dtype="<u4")
-    out = np.frombuffer(blob[8:], dtype="<f4").reshape(int(rows), int(cols))
-    return out.copy()
+def batch_extract(src_dir, matrix_path, manifest_path) -> tuple:
+    """Extract every entry of ``src_dir`` that is not a directory into
+    ``matrix_path`` and ``manifest_path``.  Returns the ``<f4`` matrix and
+    the ``records.file_row`` rows as written: ``{"path", "row", "sha256"}``,
+    ``row`` indexing the matrix, or ``{"path", "error"}``."""
+    vectors: list[np.ndarray] = []
 
+    def one(_path, data: bytes) -> dict:
+        vectors.append(extract(data))
+        return {"row": len(vectors) - 1,
+                "sha256": hashlib.sha256(data).hexdigest()}
 
-def batch_extract(src_dir, matrix_path, manifest_path) -> tuple[int, int]:
-    """Extract every entry of ``src_dir`` that is not a directory, by name.
-
-    Returns (rows written, files skipped).  Unreadable entries produce a
-    manifest record with an ``error`` field instead of a row.
-    """
-    rows: list[np.ndarray] = []
-    records: list[dict] = []
-    for path in list_files(src_dir):
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            records.append({"path": path.name,
-                            "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        records.append({"row": len(rows),
-                        "sha256": hashlib.sha256(data).hexdigest(),
-                        "path": path.name})
-        rows.append(extract(data))
-    matrix = np.vstack(rows) if rows else np.zeros((0, FEATURE_DIM))
+    rows = [file_row(path, one) for path in list_files(src_dir)]
+    matrix = np.array(vectors, dtype="<f4").reshape(-1, FEATURE_DIM)
     write_matrix(matrix_path, matrix)
-    write_jsonl(manifest_path, records)
-    return len(rows), len(records) - len(rows)
+    write_jsonl(manifest_path, rows)
+    return matrix, rows

@@ -33,6 +33,7 @@ from .records import Record, file_row, list_files
 # how often the coordinator looks at its running workers: it bounds how
 # late a finished worker is noticed; the stale window is checked apart
 TICK = 0.05
+STATUS_INTERVAL = 2.0  # seconds between tables on a status stream
 
 
 class HarnessError(Exception):
@@ -170,8 +171,8 @@ def _kill(proc) -> None:
 
 
 def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
-        clock=time.time, sleep=time.sleep, status_stream=None,
-        status_interval: float = 2.0) -> HarnessSummary:
+        clock=time.time, sleep=time.sleep,
+        status_stream=None) -> HarnessSummary:
     """Drive every chunk to done or discarded; returns the run summary."""
     chunks_root = Path(work_dir) / "chunks"
     # start empty: copying onto a leftover input link writes through it;
@@ -267,7 +268,7 @@ def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
                 if w.state == "running":
                     running.append(w)
             if (status_stream is not None
-                    and clock() - last_render >= status_interval):
+                    and clock() - last_render >= STATUS_INTERVAL):
                 status_stream.write(render_status(statuses, now=clock()) + "\n")
                 last_render = clock()
             if not (pending or running):

@@ -35,6 +35,7 @@ CONTENT_SOURCES = ("random", "benign-pool")
 
 # Default detection threshold; scores below it count as evasion.
 DEFAULT_THRESHOLD = 0.871
+DEFAULT_MAX_STEPS = 200
 
 # content_len is drawn log-uniformly from this range when sampling actions.
 MIN_CONTENT_LEN = 16
@@ -135,7 +136,7 @@ class MutationPlan:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    max_steps: int = 64
+    max_steps: int = DEFAULT_MAX_STEPS
     score_threshold: float = DEFAULT_THRESHOLD
     rng_seed: int = 0
     allowed_actions: tuple[str, ...] = ACTION_KINDS

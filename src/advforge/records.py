@@ -5,7 +5,8 @@ pair.  ``read_jsonl``/``write_jsonl`` are the package's JSONL reader and
 writer of whole files (the verdict client's state journal, a snapshot
 line and appended change lines, is read and written in ``scoring``),
 ``write_csv`` its only CSV writer, ``list_files`` its only
-directory listing, and ``file_row`` its one per-file read: a listed file
+directory listing, and ``file_row`` its one per-file read (``validate``,
+``mutate``, ``score``, ``train`` and the harness split): a listed file
 becomes one row, or one ``{"path", "error"}`` row when it fails.
 ``ordered_map`` is the one worker pool: independent units on threads,
 results in input order.

@@ -249,20 +249,24 @@ class TestTrainCommand:
         malicious, benign = make_classes(tmp_path, 4)
         assert run_train(tmp_path, malicious, benign) == 0
         blocks = []
-        for name, src in (("m", malicious), ("b", benign)):
-            assert features.batch_extract(src, tmp_path / f"{name}.f32",
-                                          tmp_path / f"{name}.jsonl") == (4, 0)
-            blocks.append(features.read_matrix(tmp_path / f"{name}.f32"))
+        out = tmp_path / "out"
+        for name, src in (("malicious", malicious), ("benign", benign)):
+            matrix, rows = features.batch_extract(
+                src, tmp_path / f"{name}.f32", tmp_path / f"{name}.jsonl")
+            assert (len(matrix), len(rows)) == (4, 4)
+            assert not any("error" in r for r in rows)
+            assert ((out / f"{name}.f32").read_bytes()
+                    == (tmp_path / f"{name}.f32").read_bytes())
+            blocks.append(matrix)
         model = gbdt.train(np.vstack(blocks), np.array([1] * 4 + [0] * 4),
                            gbdt.Hyperparams(**TRAIN_GBDT), rng_seed=3)
         assert model.trees and not model.degenerate
         model.save(tmp_path / "oracle.json")
-        out = tmp_path / "out"
         assert ((out / "model.json").read_bytes()
                 == (tmp_path / "oracle.json").read_bytes())
         for name, src in (("malicious", malicious), ("benign", benign)):
             rows = read_jsonl(out / f"{name}.jsonl")
-            assert [r["path"] for r in rows] == [p.name for p in
+            assert [r["path"] for r in rows] == [str(p) for p in
                                                  sorted(src.iterdir())]
 
     def test_manifest_digests_both_directories(self, tmp_path):
@@ -285,7 +289,20 @@ class TestTrainCommand:
         out = tmp_path / "out"
         assert gbdt.TrainedModel.load(out / "model.json").trees
         errors = [r for r in read_jsonl(out / "benign.jsonl") if "error" in r]
-        assert [r["path"] for r in errors] == ["gone.bin"]
+        assert [r["path"] for r in errors] == [str(benign / "gone.bin")]
+
+    def test_error_row_is_validates_row(self, tmp_path):
+        malicious, benign = make_classes(tmp_path, 4)
+        dangling_link(benign / "gone.bin")
+        assert run_train(tmp_path, malicious, benign) == 1
+        assert dispatch(["validate", str(benign),
+                         "--out", str(tmp_path / "reports")]) == 1
+        [trained] = [r for r in read_jsonl(tmp_path / "out" / "benign.jsonl")
+                     if "error" in r]
+        [validated] = [r for r in read_jsonl(tmp_path / "reports"
+                                             / "reports.jsonl")
+                       if "error" in r]
+        assert trained == validated
 
     def test_class_directory_without_readable_file_is_exit_2(self, tmp_path,
                                                              capsys):
@@ -1005,7 +1022,10 @@ class TestStatsCommand:
     @pytest.mark.parametrize("row", [
         {"orig_score": 2.0, "adv_score": 0.1},
         {"engine_detections_orig": {"a": True},
-         "engine_detections_adv": {"a": False}}])
+         "engine_detections_adv": {"a": False}},
+        {"orig_verdict_malicious": "false", "adv_score": 0.1},
+        {"orig_verdict_malicious": True, "adv_score": 5.0},
+        {"orig_verdict_malicious": True, "adv_score": True}])
     def test_malformed_rows_exit_2(self, tmp_path, capsys, row):
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text(json.dumps(row))

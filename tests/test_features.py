@@ -23,7 +23,6 @@ from advforge.features import (
     STRING_BLOCK,
     batch_extract,
     extract,
-    read_matrix,
     write_matrix,
 )
 from advforge.records import read_jsonl as read_manifest
@@ -273,6 +272,14 @@ class TestOracle:
             assert_matches_oracle(blob)
 
 
+def read_f32(path) -> np.ndarray:
+    """A ``.f32`` file as documented: {u32 rows, u32 cols}, then
+    little-endian float32 rows."""
+    blob = path.read_bytes()
+    rows, cols = (int.from_bytes(blob[i:i + 4], "little") for i in (0, 4))
+    return np.frombuffer(blob[8:], dtype="<f4").reshape(rows, cols)
+
+
 class TestBatch:
     def test_three_files(self, tmp_path):
         src = tmp_path / "src"
@@ -280,22 +287,25 @@ class TestBatch:
         blobs = {"a.bin": b"alpha" * 40, "b.bin": b"\x00" * 10, "c.bin": b"x"}
         for name, blob in blobs.items():
             (src / name).write_bytes(blob)
-        rows, skipped = batch_extract(src, tmp_path / "m.f32", tmp_path / "m.jsonl")
-        assert (rows, skipped) == (3, 0)
-        matrix = read_matrix(tmp_path / "m.f32")
+        matrix, rows = batch_extract(src, tmp_path / "m.f32", tmp_path / "m.jsonl")
+        assert matrix.dtype == np.dtype("<f4")
         assert matrix.shape == (3, FEATURE_DIM)
+        np.testing.assert_array_equal(read_f32(tmp_path / "m.f32"), matrix)
         manifest = read_manifest(tmp_path / "m.jsonl")
-        assert [m["path"] for m in manifest] == ["a.bin", "b.bin", "c.bin"]
+        assert manifest == rows
+        assert [m["path"] for m in manifest] == [
+            str(src / name) for name in ("a.bin", "b.bin", "c.bin")]
         for rec in manifest:
-            want = extract(blobs[rec["path"]]).astype(np.float32)
-            np.testing.assert_array_equal(matrix[rec["row"]], want)
+            want = extract(blobs[os.path.basename(rec["path"])])
+            np.testing.assert_array_equal(matrix[rec["row"]],
+                                          want.astype(np.float32))
 
     def test_empty_dir(self, tmp_path):
         src = tmp_path / "src"
         src.mkdir()
-        rows, skipped = batch_extract(src, tmp_path / "m.f32", tmp_path / "m.jsonl")
-        assert (rows, skipped) == (0, 0)
-        assert read_matrix(tmp_path / "m.f32").shape == (0, FEATURE_DIM)
+        matrix, rows = batch_extract(src, tmp_path / "m.f32", tmp_path / "m.jsonl")
+        assert (matrix.shape, rows) == ((0, FEATURE_DIM), [])
+        assert read_f32(tmp_path / "m.f32").shape == (0, FEATURE_DIM)
         assert read_manifest(tmp_path / "m.jsonl") == []
 
     def test_unreadable_file_skipped(self, tmp_path):
@@ -304,20 +314,21 @@ class TestBatch:
         for name in ("a.bin", "b.bin", "d.bin"):
             (src / name).write_bytes(b"data-" + name.encode())
         os.symlink(src / "missing-target", src / "c.bin")
-        rows, skipped = batch_extract(
+        matrix, rows = batch_extract(
             src, tmp_path / "m.f32", tmp_path / "m.jsonl"
         )
-        assert (rows, skipped) == (3, 1)
-        manifest = read_manifest(tmp_path / "m.jsonl")
-        errors = [m for m in manifest if "error" in m]
+        assert len(matrix) == 3
+        assert read_manifest(tmp_path / "m.jsonl") == rows
+        errors = [m for m in rows if "error" in m]
         assert len(errors) == 1
-        assert errors[0]["path"] == "c.bin"
-        assert all("row" not in m for m in errors)
+        assert errors[0]["path"] == str(src / "c.bin")
+        assert set(errors[0]) == {"path", "error"}
+        assert [m["row"] for m in rows if "error" not in m] == [0, 1, 2]
 
     def test_matrix_round_trip(self, tmp_path, rng):
         mat = rng.normal(size=(5, 7)).astype(np.float32)
         write_matrix(tmp_path / "x.f32", mat)
-        np.testing.assert_array_equal(read_matrix(tmp_path / "x.f32"), mat)
+        np.testing.assert_array_equal(read_f32(tmp_path / "x.f32"), mat)
 
     def test_matrix_header_layout(self, tmp_path):
         write_matrix(tmp_path / "x.f32", np.zeros((2, 3), dtype=np.float32))

@@ -404,14 +404,15 @@ class TestStatusTable:
         assert first.splitlines()[0].strip().startswith("chunk")
         assert len(first.splitlines()) == 4
 
-    def test_stream_receives_tables(self, tmp_path, worker_script):
+    def test_stream_receives_tables(self, tmp_path, worker_script,
+                                    monkeypatch):
         import io
         make_corpus(tmp_path / "in", 2)
         manifest = harness.split_dataset(tmp_path / "in", 1)
         stream = io.StringIO()
+        monkeypatch.setattr(harness, "STATUS_INTERVAL", 0.05)
         summary = harness.run(
             small_config(worker_script, chunk_count=1, stale_window=1.0),
-            manifest, tmp_path / "work",
-            status_stream=stream, status_interval=0.05)
+            manifest, tmp_path / "work", status_stream=stream)
         assert set(summary.chunk_states.values()) == {"done"}
         assert "chunk" in stream.getvalue()
