@@ -581,6 +581,9 @@ def train(
     bag_mask = np.zeros(n, dtype=bool)
     bag_mask[fit_rows] = True
     bag_size = fit_rows.size
+    feats = np.arange(dim)
+    # the root's order changes only with the bag or the sampled features
+    order0 = None
 
     for round_idx in range(hp.max_rounds):
         if hp.bagging_fraction < 1.0 and round_idx % hp.bagging_freq == 0:
@@ -589,18 +592,19 @@ def train(
             bag_mask[:] = False
             bag_mask[bag] = True
             bag_size = size
+            order0 = None
         if hp.feature_fraction < 1.0:
             fcount = max(1, int(round(hp.feature_fraction * dim)))
             feats = np.sort(rng.choice(dim, size=fcount, replace=False))
-        else:
-            feats = np.arange(dim)
+            order0 = None
 
-        cols = presort[:, feats] if feats.size != dim else presort
-        if bag_size == n:
-            order0 = cols
-        else:
-            order0, _ = _partition_order(cols, bag_mask, bag_size,
-                                         with_right=False)
+        if order0 is None:
+            cols = presort[:, feats] if feats.size != dim else presort
+            if bag_size == n:
+                order0 = cols
+            else:
+                order0, _ = _partition_order(cols, bag_mask, bag_size,
+                                             with_right=False)
 
         p = _sigmoid(raw)
         g = p - y

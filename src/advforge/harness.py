@@ -171,8 +171,7 @@ def _kill(proc) -> None:
 
 
 def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
-        clock=time.time, sleep=time.sleep,
-        status_stream=None) -> HarnessSummary:
+        sleep=time.sleep, status_stream=None) -> HarnessSummary:
     """Drive every chunk to done or discarded; returns the run summary."""
     chunks_root = Path(work_dir) / "chunks"
     # start empty: copying onto a leftover input link writes through it;
@@ -189,10 +188,11 @@ def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
     pending = deque(statuses.values())
     running = []
     events = []
-    started = last_render = clock()
+    started = last_render = time.time()
 
     def note(chunk_id, event):
-        events.append({"ts": clock(), "chunk_id": chunk_id, "event": event})
+        events.append(
+            {"ts": time.time(), "chunk_id": chunk_id, "event": event})
 
     def retry(w: WorkerStatus) -> bool:
         """Spend one restart on a failed attempt; with none left, discard."""
@@ -228,7 +228,7 @@ def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
             if not retry(w):
                 return
         w.state = "running"
-        w.last_log_activity = clock()
+        w.last_log_activity = time.time()
         w.log_sig = _log_signature(log_path)
         note(w.chunk_id, "launch")
 
@@ -245,7 +245,7 @@ def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
             note(w.chunk_id, f"exit-error:{code}")
         else:
             sig = _log_signature(w.root / "log.txt")
-            now = clock()
+            now = time.time()
             if sig != w.log_sig:
                 w.log_sig, w.last_log_activity = sig, now
                 return
@@ -268,9 +268,10 @@ def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
                 if w.state == "running":
                     running.append(w)
             if (status_stream is not None
-                    and clock() - last_render >= STATUS_INTERVAL):
-                status_stream.write(render_status(statuses, now=clock()) + "\n")
-                last_render = clock()
+                    and time.time() - last_render >= STATUS_INTERVAL):
+                status_stream.write(
+                    render_status(statuses, now=time.time()) + "\n")
+                last_render = time.time()
             if not (pending or running):
                 break
             sleep(TICK)
@@ -284,7 +285,7 @@ def run(config: HarnessConfig, manifest: ChunkManifest, work_dir,
     return HarnessSummary(
         chunk_states={c: w.state for c, w in statuses.items()},
         restarts={c: w.restarts_used for c, w in statuses.items()},
-        wall_time=clock() - started,
+        wall_time=time.time() - started,
         events=events)
 
 

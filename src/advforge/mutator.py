@@ -359,6 +359,12 @@ def run_campaign(
     it, and keeps the candidate only on strict score improvement.  Content
     for the i-th accepted action is generated from a seed derived from
     (config.rng_seed, i), so the returned plan replays byte-identically.
+
+    A step whose action was already tried on the current state, or whose
+    candidate equals the current bytes, is skipped without a scorer call:
+    it would rebuild a candidate already rejected, or one scoring the
+    same.  The step still counts, so ``scorer`` must be a function of the
+    bytes for the skip to change nothing but the number of calls.
     """
     try:
         current_image = pe.parse(data)
@@ -373,16 +379,24 @@ def run_campaign(
     steps_used = 0
 
     if current_score >= config.score_threshold:
+        # the state, the content seed and the pool change only on
+        # acceptance, so until then a repeated action repeats its result
+        tried: set[MutationAction] = set()
         for step in range(1, config.max_steps + 1):
             steps_used = step
             action = _sample_action(
                 rng, current_image, config.allowed_actions, pool is not None
             )
+            if action in tried:
+                continue
+            tried.add(action)
             seed = _derive_seed(config.rng_seed, len(accepted))
             try:
                 candidate_image = apply_action(current_image, action, seed, pool)
                 candidate_bytes = pe.serialize(candidate_image)
             except (InvalidTarget, pe.LayoutOverflow):
+                continue
+            if candidate_bytes == current_bytes:
                 continue
             score = float(scorer(candidate_bytes, candidate_image))
             if score < current_score:
@@ -390,6 +404,7 @@ def run_campaign(
                 current_bytes = candidate_bytes
                 current_score = score
                 accepted.append(action)
+                tried.clear()
                 trace.append((step, score))
                 if score < config.score_threshold:
                     break

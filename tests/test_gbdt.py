@@ -626,6 +626,29 @@ class TestBlockedSearch:
         # each, plus blocks of 128 KiB; a whole-node search took 7.9 MB
         assert peak < 4_000_000
 
+    @pytest.mark.parametrize("sampling,roots", [
+        ({}, 1),
+        ({"bagging_fraction": 0.7, "bagging_freq": 3}, 3),
+        ({"feature_fraction": 0.5}, 8)])
+    def test_root_order_derived_once_per_bag(self, sampling, roots):
+        # the hold-out keeps the bag below n, so the root is a partition
+        # of the presort; it changes only with the bag or the features
+        x, y = tied_data(5, 200, 12, 4)
+        hp = Hyperparams(num_leaves=4, min_data_in_leaf=5, max_rounds=8,
+                         early_stop_rounds=50, **sampling)
+        root_calls = []
+        partition = gbdt._partition_order
+
+        def spy(order, member, left_size, with_right=True):
+            if not with_right:
+                root_calls.append(left_size)
+            return partition(order, member, left_size, with_right)
+
+        with mock.patch.object(gbdt, "_partition_order", spy):
+            model = train(x, y, hp, rng_seed=2)
+        assert len(model.train_loss_trace) == 8
+        assert len(root_calls) == roots
+
 
 class TestMetrics:
     def test_f1_identity(self):

@@ -2,16 +2,20 @@
 
 import hashlib
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import campaign_oracle
 import pe_oracle
-from advforge import mutator, pe
+from advforge import features, gbdt, mutator, pe, scoring
 from advforge.mutator import (
+    ACTION_KINDS,
     CampaignConfig,
+    CampaignResult,
     ContentPool,
     MutationAction,
     MutationPlan,
@@ -324,3 +328,96 @@ class TestCampaign:
         out = pe.serialize(apply_action(img, act, seed))
         assert out[: len(data)] == data
         assert len(out) == len(data) + n
+
+
+def _sha256_score(data: bytes, _image=None) -> float:
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big") / 2**64
+
+
+@pytest.fixture(scope="module")
+def local_score(corpus_files):
+    """A small surrogate that flags raw corpus files and passes the same
+    files with benign pool content appended, so hill climbing can go down."""
+    pool = ContentPool.fallback()
+    rng = np.random.default_rng(0)
+    rows, labels = [], []
+    for path in corpus_files[:24]:
+        data = path.read_bytes()
+        rows += [features.extract(data),
+                 features.extract(data + pool.sample(rng, 4096))]
+        labels += [1, 0]
+    hp = gbdt.Hyperparams(num_leaves=4, min_data_in_leaf=3, max_rounds=40,
+                          early_stop_rounds=0)
+    handle = scoring.ScorerHandle.local(gbdt.train(
+        np.asarray(rows, dtype=np.float32), np.asarray(labels), hp,
+        rng_seed=1))
+    return lambda data, image: scoring.score(handle, data, image)
+
+
+def _recording(score, scored: list):
+    """``score``, appending the bytes of each call to ``scored``."""
+    def spy(data, image):
+        scored.append(data)
+        return score(data, image)
+    return spy
+
+
+class TestCampaignSkips:
+    """A step whose result is already known is not scored: a repeat of an
+    action rejected on the current state, and a no-op candidate."""
+
+    @pytest.mark.parametrize("allowed", [ACTION_KINDS, ("checksum_zero",)],
+                             ids=["all", "checksum_zero"])
+    @pytest.mark.parametrize("with_pool", [False, True],
+                             ids=["no_pool", "pool"])
+    @pytest.mark.parametrize("scorer,threshold", [("sha256", 0.02),
+                                                  ("local", 0.3)])
+    def test_matches_the_oracle(self, corpus_files, local_score, allowed,
+                                with_pool, scorer, threshold):
+        score = _sha256_score if scorer == "sha256" else local_score
+        pool = ContentPool.fallback() if with_pool else None
+        skipped = 0
+        for seed in range(40):
+            data = corpus_files[seed % len(corpus_files)].read_bytes()
+            cfg = CampaignConfig(max_steps=60, score_threshold=threshold,
+                                 rng_seed=seed, allowed_actions=allowed)
+            got_scored, want_scored = [], []
+            got = run_campaign(data, _recording(score, got_scored), cfg,
+                               pool=pool)
+            want = campaign_oracle.run_campaign(
+                data, _recording(score, want_scored), cfg, pool=pool)
+            for f in fields(CampaignResult):
+                assert getattr(got, f.name) == getattr(want, f.name), (
+                    seed, f.name)
+            assert len(got_scored) <= len(want_scored)
+            skipped += len(want_scored) - len(got_scored)
+        # the skips happened: the oracle scored steps this loop did not
+        assert skipped > 0
+
+    @pytest.mark.parametrize("scorer", ["sha256", "local"])
+    def test_no_bytes_scored_twice(self, corpus_files, local_score, scorer):
+        # the parent scored 28 % of the bench's candidates twice; only a
+        # step back to an earlier state's bytes (say, a rename undone)
+        # could still be scored twice, and none of these campaigns takes one
+        score = _sha256_score if scorer == "sha256" else local_score
+        pool = ContentPool.fallback()
+        for seed in range(40):
+            data = corpus_files[seed % len(corpus_files)].read_bytes()
+            scored = []
+            cfg = CampaignConfig(max_steps=60, score_threshold=0.02,
+                                 rng_seed=seed)
+            run_campaign(data, _recording(score, scored), cfg, pool=pool)
+            assert len(set(scored)) == len(scored), seed
+
+    @pytest.mark.parametrize("checksum,calls", [(0x1234, 2), (0, 1)])
+    def test_rejected_action_scored_once(self, checksum, calls):
+        # one action, never an improvement: the input and at most one
+        # candidate are scored, and with a zero checksum the candidate is
+        # the input's bytes, so only the input is
+        data = pe_oracle.build_pe(checksum=checksum)
+        scored = []
+        cfg = CampaignConfig(max_steps=200, allowed_actions=("checksum_zero",))
+        res = run_campaign(data, _recording(lambda _d, _i: 1.0, scored), cfg)
+        assert len(scored) == calls
+        assert res.steps_used == 200
+        assert res.plan.actions == () and res.final_bytes == data
