@@ -13,6 +13,13 @@ search took.  A column's float32 prefix sums do not depend on its block,
 and the blocks' best splits combine as ``np.argmax`` over the whole gain
 matrix would, so the trees are those of a search over the whole node.
 
+Each row's g and h travel as one complex64, so one ``take`` and one
+``cumsum`` give both prefix sums, each part added in float32 in the
+order two float32 sums would use.  A boundary between equal values is
+no split, but only columns with equal neighbours in the presort (found
+once per train) can have one, so only those columns gather their values.
+The partition splits each block's order with 1-D ``compress``.
+
 Prediction packs every tree into one set of node arrays (``_Pack``, in
 the spirit of QuickScorer, Lucchese et al. 2015) and walks all
 (row, tree) pairs together, one depth level per numpy step; a leaf
@@ -39,8 +46,10 @@ _BASE_SCORE_CLAMP = 10.0
 # (row, tree) pairs walked at once; bounds prediction's scratch memory
 _BLOCK_PAIRS = 1 << 16
 # (row, column) elements per block of the split search: 128 KiB of
-# float32, the default glibc mmap threshold; a larger freed array raises
-# that threshold, and the heap then keeps more of each train's scratch
+# float32 or int32, the default glibc mmap threshold; a larger freed
+# array raises that threshold, and the heap then keeps more of each
+# train's scratch.  A block's complex64 prefix sums of g and h take
+# 256 KiB, as its two float32 ones did
 _BLOCK_ELEMS = 1 << 15
 
 
@@ -329,29 +338,31 @@ def _scan_block(
     x: np.ndarray,
     order: np.ndarray,
     feats: np.ndarray,
-    g32: np.ndarray,
-    h32: np.ndarray,
+    tied: np.ndarray,
+    gh: np.ndarray,
     lo: int,
     hi: int,
     lam32: np.float32,
 ) -> tuple[float, int, int] | None:
     """(gain, position, column) of ``np.argmax`` over one block's gain
     matrix, positions lo-1 .. hi-2; None when no boundary in the block is
-    valid."""
-    sv = x[order, feats[None, :]]
-    # valid boundaries: distinct adjacent values, min_data on both sides
-    valid = sv[lo - 1 : hi - 1] != sv[lo:hi]
-    del sv
-    if not valid.any():
-        return None
-    gl = g32[order]
-    np.cumsum(gl, axis=0, out=gl)
-    hl = h32[order]
-    np.cumsum(hl, axis=0, out=hl)
-    g_tot = gl[-1].copy()
-    h_tot = hl[-1].copy()
-    gl = gl[lo - 1 : hi - 1]
-    hl = hl[lo - 1 : hi - 1]
+    valid.  The real and imaginary parts of one complex64 ``cumsum`` are
+    the float32 prefix sums of g and h; only ``tied`` columns can hold
+    equal neighbours, so only they gather values."""
+    ties = np.flatnonzero(tied)
+    if ties.size:
+        sv = x[order[:, ties], feats[ties]]
+        # invalid boundaries: equal neighbours; lo and hi keep min_data
+        same = sv[lo - 1 : hi - 1] == sv[lo:hi]
+        del sv
+        if ties.size == tied.size and same.all():
+            return None
+    ghl = gh.take(order)
+    np.cumsum(ghl, axis=0, out=ghl)
+    g_tot = ghl.real[-1].copy()
+    h_tot = ghl.imag[-1].copy()
+    gl = ghl.real[lo - 1 : hi - 1]
+    hl = ghl.imag[lo - 1 : hi - 1]
 
     gain = g_tot - gl
     np.multiply(gain, gain, out=gain)
@@ -363,7 +374,8 @@ def _scan_block(
     num /= den
     gain += num
     gain -= g_tot * g_tot / (h_tot + lam32)
-    gain[~valid] = -np.inf
+    if ties.size:
+        gain[:, ties] = np.where(same, -np.inf, gain[:, ties])
 
     pos, col = divmod(int(np.argmax(gain)), gain.shape[1])
     return float(gain[pos, col]), pos, col
@@ -373,13 +385,15 @@ def _scan_best(
     x: np.ndarray,
     order: np.ndarray,
     feats: np.ndarray,
-    g32: np.ndarray,
-    h32: np.ndarray,
+    tied: np.ndarray,
+    gh: np.ndarray,
     min_data: int,
     lam: float,
 ) -> tuple[float, int, int, float]:
     """Best (gain, column, position, threshold) over presorted columns.
 
+    ``gh`` holds each row's g and h as one complex64; ``tied`` flags the
+    columns of ``feats`` that hold equal values (``_tied_columns``).
     The scan runs in float32 for throughput; leaf values are later
     recomputed in float64, so only split placement sees the lower
     precision.  Column blocks pick the split that ``np.argmax`` picks over
@@ -395,7 +409,7 @@ def _scan_best(
     lam32 = np.float32(lam)
     best_gain, best_pos, best_col = -math.inf, -1, -1
     for cols in _column_blocks(k, feats.size):
-        found = _scan_block(x, order[:, cols], feats[cols], g32, h32,
+        found = _scan_block(x, order[:, cols], feats[cols], tied[cols], gh,
                             lo, hi, lam32)
         if found is None:
             continue
@@ -418,20 +432,23 @@ def _partition_order(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Split presorted columns by a row-membership mask, keeping order.
 
-    Fills the two halves one column block at a time; without
-    ``with_right`` only the member rows are kept, and the right is None."""
+    Fills the two halves one column block at a time: the block's order,
+    transposed and ravelled so that each column's rows run together, is
+    split by one 1-D ``compress`` per half.  Without ``with_right`` only
+    the member rows are kept, and the right is None."""
     k, f = order.shape
     left = np.empty((left_size, f), dtype=order.dtype)
     right = (np.empty((k - left_size, f), dtype=order.dtype)
              if with_right else None)
     for cols in _column_blocks(k, f):
-        block = order[:, cols].T
-        flags = member[block]
-        width = block.shape[0]
-        left[:, cols] = block[flags].reshape(width, left_size).T
+        block = order[:, cols].T.ravel()
+        flags = member.take(block)
+        width = cols.stop - cols.start
+        left[:, cols] = block.compress(flags).reshape(width, left_size).T
         if right is not None:
             np.logical_not(flags, out=flags)
-            right[:, cols] = block[flags].reshape(width, k - left_size).T
+            right[:, cols] = (block.compress(flags)
+                              .reshape(width, k - left_size).T)
     return left, right
 
 
@@ -444,18 +461,32 @@ def _presort(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tied_columns(x: np.ndarray, presort: np.ndarray) -> np.ndarray:
+    """Per column, whether two neighbours in its presorted order compare
+    equal, one column block at a time.  A node's sorted rows are a
+    subsequence of the presort, so a column without such a pair has
+    none in any node."""
+    tied = np.empty(x.shape[1], dtype=bool)
+    for cols in _column_blocks(*x.shape):
+        sv = np.take_along_axis(x[:, cols], presort[:, cols], axis=0)
+        tied[cols] = (sv[:-1] == sv[1:]).any(axis=0)
+    return tied
+
+
 def _grow_tree(
     x: np.ndarray,
     g64: np.ndarray,
     h64: np.ndarray,
     order0: np.ndarray,
     feats: np.ndarray,
+    tied: np.ndarray,
     hp: Hyperparams,
     member_scratch: np.ndarray,
 ) -> Tree:
     lam = hp.l2_lambda
-    g32 = g64.astype(np.float32)
-    h32 = h64.astype(np.float32)
+    gh = np.empty(g64.size, dtype=np.complex64)
+    gh.real = g64
+    gh.imag = h64
     feature = [-1]
     threshold = [0.0]
     left = [-1]
@@ -472,7 +503,7 @@ def _grow_tree(
         if hp.max_depth >= 0 and depth >= hp.max_depth:
             return
         gain, col, pos, thr = _scan_best(
-            x, order, feats, g32, h32, hp.min_data_in_leaf, lam
+            x, order, feats, tied, gh, hp.min_data_in_leaf, lam
         )
         if col >= 0:
             candidates.append(
@@ -577,6 +608,7 @@ def train(
     # one global presort reused by every tree; per-node orders are derived
     # by partitioning, never by re-sorting
     presort = _presort(x)
+    tied = _tied_columns(x, presort)
     member_scratch = np.zeros(n, dtype=bool)
     bag_mask = np.zeros(n, dtype=bool)
     bag_mask[fit_rows] = True
@@ -609,7 +641,8 @@ def train(
         p = _sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        tree = _grow_tree(x, g, h, order0, feats, hp, member_scratch)
+        tree = _grow_tree(x, g, h, order0, feats, tied[feats], hp,
+                          member_scratch)
         trees.append(tree)
         pack = _Pack((tree,))
         raw += hp.learning_rate * pack.value[pack.leaves(x)[:, 0]]

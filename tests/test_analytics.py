@@ -61,6 +61,12 @@ class TestEvasionRate:
         with pytest.raises(ValueError):
             evasion_rate([], 1.5)
 
+    def test_score_at_threshold_is_detected(self):
+        # a score at or above the threshold counts as detected
+        pairs = [{"orig_verdict_malicious": True, "adv_score": score}
+                 for score in (0.5, 0.25)]
+        assert evasion_rate(pairs, 0.5) == 0.5
+
 
 class TestScoreDropBins:
     def test_constant_pairs(self):

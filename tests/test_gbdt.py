@@ -473,10 +473,16 @@ def oracle_partition(order, member, left_size, with_right=True):
     return gbdt_oracle._partition_order(order, member, left_size)
 
 
+def oracle_scan(x, order, feats, tied, gh, min_data, lam):
+    # the frozen scan gathers every column's values and takes g and h apart
+    return gbdt_oracle._scan_best(x, order, feats, gh.real, gh.imag,
+                                  min_data, lam)
+
+
 def oracle_train(x, y, hp, rng_seed):
     """``train`` with the frozen presort, scan and partition swapped in."""
     with mock.patch.object(gbdt, "_presort", gbdt_oracle.presort), \
-            mock.patch.object(gbdt, "_scan_best", gbdt_oracle._scan_best), \
+            mock.patch.object(gbdt, "_scan_best", oracle_scan), \
             mock.patch.object(gbdt, "_partition_order", oracle_partition):
         return train(x, y, hp, rng_seed=rng_seed)
 
@@ -529,6 +535,37 @@ def blocked_cases(draw):
     return x, y, hp, max(1, budget)
 
 
+class TestComplexPrefixSum:
+    """The split scan's one complex64 prefix sum of g and h against two
+    float32 ones."""
+
+    @staticmethod
+    def check(g, h):
+        gh = np.empty(g.shape, dtype=np.complex64)
+        gh.real = g
+        gh.imag = h
+        np.cumsum(gh, axis=0, out=gh)
+        for part, want in ((gh.real, np.cumsum(g, axis=0)),
+                           (gh.imag, np.cumsum(h, axis=0))):
+            assert part.tobytes() == np.ascontiguousarray(want).tobytes()
+        return gh
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 5), st.data())
+    def test_parts_equal_float32_cumsums(self, rows, cols, data):
+        # bounded so that no 40-row sum overflows
+        parts = st.floats(-2.0**120, 2.0**120, width=32, allow_subnormal=True)
+        self.check(*(data.draw(arrays(np.float32, (rows, cols),
+                                      elements=parts)) for _ in range(2)))
+
+    def test_signed_zeros_and_subnormals(self):
+        tiny = np.float32(1e-45)  # the smallest subnormal
+        g = np.array([[-0.0], [0.0], [-0.0], [tiny], [-tiny], [-tiny]],
+                     dtype=np.float32)
+        gh = self.check(g, g[::-1].copy())
+        assert np.signbit(gh.real[0, 0]) and np.signbit(gh.real[-1, 0])
+
+
 class TestBlockedSearch:
     """The split search in column blocks against the frozen whole-node
     search: identical trees, node array by node array."""
@@ -574,12 +611,15 @@ class TestBlockedSearch:
             assert -(-cols // (len(blocks) - 1)) * rows > budget
 
     @staticmethod
-    def scan(x, g, h, budget):
+    def scan(x, g, h, budget, min_data=1):
         order = np.argsort(x, axis=0, kind="stable").astype(np.int32)
         feats = np.arange(x.shape[1])
+        gh = (g + 1j * h).astype(np.complex64)
         with mock.patch.object(gbdt, "_BLOCK_ELEMS", budget):
-            got = gbdt._scan_best(x, order, feats, g, h, 1, 0.0)
-        assert got == gbdt_oracle._scan_best(x, order, feats, g, h, 1, 0.0)
+            tied = gbdt._tied_columns(x, order)
+            got = gbdt._scan_best(x, order, feats, tied, gh, min_data, 0.0)
+        assert got == gbdt_oracle._scan_best(x, order, feats, g, h,
+                                             min_data, 0.0)
         return got
 
     def test_equal_gains_in_two_blocks(self):
@@ -608,6 +648,68 @@ class TestBlockedSearch:
         assert self.scan(x[:, :1], g, h, 8)[0] > 0
         with np.errstate(invalid="ignore", divide="ignore"):
             assert self.scan(x, g, h, 8) == (-math.inf, -1, -1, 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_tied_and_untied_columns_match_the_oracle(self, data):
+        # each column is distinct values, a few levels with runs of ties,
+        # or a constant; some hold both 0.0 and -0.0
+        rows = data.draw(st.integers(2, 60))
+        cols = data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = np.empty((rows, cols), dtype=np.float32)
+        for c in range(cols):
+            kind = data.draw(st.sampled_from(
+                ["distinct", "levels", "constant", "signed zeros"]))
+            if kind == "distinct":
+                x[:, c] = rng.permutation(rows) - rows // 2
+            elif kind == "levels":
+                x[:, c] = rng.integers(0, data.draw(st.integers(1, 4)), rows)
+            elif kind == "constant":
+                x[:, c] = 1.5
+            else:
+                x[:, c] = rng.choice([-1.0, -0.0, 0.0, 1.0], rows)
+        g = rng.normal(size=rows).astype(np.float32)
+        h = rng.uniform(0.05, 0.25, rows).astype(np.float32)
+        budget = rows * data.draw(st.integers(1, cols))
+        min_data = data.draw(st.integers(1, max(1, rows // 2)))
+        self.scan(x, g, h, budget, min_data)
+
+    def test_tied_columns(self):
+        x = np.array([[0.0, 3.0, 1.0, -0.0, np.nan],
+                      [1.0, 2.0, 1.0, 0.0, np.nan],
+                      [2.0, 1.0, 1.0, 2.0, 5.0]], dtype=np.float32)
+        order = np.argsort(x, axis=0).astype(np.int32)
+        for budget in (3, 6, 15):
+            with mock.patch.object(gbdt, "_BLOCK_ELEMS", budget):
+                # 0.0 == -0.0; NaN equals nothing, as validity reads it
+                assert gbdt._tied_columns(x, order).tolist() == [
+                    False, False, True, True, False]
+
+    def test_all_tied_block_with_no_valid_boundary_is_skipped(self):
+        # at a budget of k each column is a block: column 0 is constant,
+        # column 1 holds only 0.0 and -0.0, column 2 is distinct
+        k = 8
+        g = np.array([-3, -2, 1, 1, 1, 1, 0, 1], dtype=np.float32)
+        h = np.full(k, 0.25, dtype=np.float32)
+        zeros = np.array([0.0, -0.0] * 4, dtype=np.float32)
+        x = np.stack([np.full(k, 2.0, dtype=np.float32), zeros,
+                      np.arange(k, dtype=np.float32)], axis=1)
+        order = np.argsort(x, axis=0).astype(np.int32)
+        gh = (g + 1j * h).astype(np.complex64)
+        tied = gbdt._tied_columns(x, order)
+        assert tied.tolist() == [True, True, False]
+        lam32 = np.float32(0.0)
+        for c in (0, 1):
+            assert gbdt._scan_block(x, order[:, c:c + 1], np.array([c]),
+                                    tied[c:c + 1], gh, 1, k, lam32) is None
+        assert gbdt._scan_block(x, order[:, :2], np.arange(2), tied[:2],
+                                gh, 1, k, lam32) is None
+        assert self.scan(x[:, :2], g, h, k) == (-math.inf, -1, -1, 0.0)
+        gain, col, _, _ = self.scan(x, g, h, k)
+        assert gain > 0 and col == 2
+        # the whole node in one block: the tied columns are masked
+        assert self.scan(x, g, h, 3 * k)[:2] == (gain, 2)
 
     def test_grid_train_scratch_memory(self):
         rng = np.random.default_rng(0)

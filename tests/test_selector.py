@@ -67,6 +67,13 @@ class TestPickBest:
         # a exceeds ratio 1.0; b wins pass one and sits under 0.5.
         assert pick_best_record(cands, 0.5, consts).generator == "b"
 
+    def test_size_at_maximum_can_win(self):
+        # the size bound excludes only outputs larger than maximum_size
+        consts = SelectionConstants(maximum_size=100)
+        cands = [cand("a", 0.1, orig=100, modified=100),
+                 cand("b", 0.05, orig=100, modified=101)]
+        assert pick_best_record(cands, 0.5, consts).generator == "a"
+
 
 def random_candidate_set(rng):
     names = [f"g{int(i):02d}" for i in rng.integers(0, 8, size=int(rng.integers(0, 7)))]
@@ -283,6 +290,17 @@ class TestAssembleDataset:
         summary = assemble_dataset(sources, candidates, tmp_path / "final")
         # Both winners score under the threshold in this fixture.
         assert summary["evasive_count"] == 2
+
+    def test_winner_at_threshold_is_not_evasive(self, tmp_path, rng):
+        # at a threshold of 0.30 the winners score 0.10 and exactly 0.30,
+        # and a score at the threshold counts as detected
+        sources, candidates = self.make_fixture(tmp_path, rng)
+        out = tmp_path / "final"
+        summary = assemble_dataset(sources, candidates, out, threshold=0.30)
+        scores = sorted(json.loads(line)["ember_score_adv"] for line in
+                        (out / "metadata.jsonl").read_text().splitlines())
+        assert scores == [0.10, 0.30]
+        assert summary["evasive_count"] == 1
 
     def test_duplicate_sources_rejected(self, tmp_path):
         src = SourceSample(sha256="ab" * 32, label_scheme="family",
